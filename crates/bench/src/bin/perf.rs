@@ -37,9 +37,8 @@ use cocoa_core::runner::{run, WarmArtifacts};
 use cocoa_core::serve::{client, ServeConfig, Server};
 use cocoa_localization::adaptive::AdaptiveGrid;
 use cocoa_localization::bayes::{radial_constraints_for_grid, BayesianLocalizer};
-use cocoa_localization::grid::{GridConfig, PositionGrid};
-use cocoa_localization::kernel::{GridKernel, GridPrecision};
-use cocoa_net::calibration::{calibrate, CalibrationConfig, DistancePdf};
+use cocoa_localization::grid::{ConstraintOutcome, GridConfig, PositionGrid};
+use cocoa_net::calibration::{calibrate, CalibrationConfig, DistancePdf, RadialProfile};
 use cocoa_net::channel::RfChannel;
 use cocoa_net::geometry::{Area, Point};
 use cocoa_net::rssi::Dbm;
@@ -160,9 +159,9 @@ fn main() -> ExitCode {
     });
     let speedup = grid_radial / grid_naive;
 
-    // Kernel variants, isolated at the grid level (100×100 cells, one
-    // representative floored profile, beacon positions rotated so the work
-    // is not degenerate). `scalar` is the pre-kernel reference loop.
+    // The lane kernel against its scalar reference, isolated at the grid
+    // level (100×100 cells, one representative floored profile, beacon
+    // positions rotated so the work is not degenerate).
     let profile = radial
         .lookup(Dbm::new(-70.0))
         .expect("calibrated bin")
@@ -173,40 +172,31 @@ fn main() -> ExitCode {
         Point::new(60.0, 60.0),
         Point::new(140.0, 150.0),
     ];
-    let bench_kernel = |kern: GridKernel, precision: GridPrecision| {
-        let mut g = PositionGrid::new(grid_cfg);
-        let mut i = 0usize;
-        ops_per_sec(|| {
-            g.apply_radial_constraint_with(beacons[i % 4], &profile, kern, precision);
-            i += 1;
-            if i.is_multiple_of(16) {
-                g.reset_uniform();
-            }
-        })
-    };
-    let kernel_scalar = bench_kernel(GridKernel::Scalar, GridPrecision::F64);
-    let kernel_simd = bench_kernel(GridKernel::Simd, GridPrecision::F64);
-    let kernel_f32 = bench_kernel(GridKernel::Simd, GridPrecision::F32);
+    let bench_kernel =
+        |apply: fn(&mut PositionGrid, Point, &RadialProfile) -> ConstraintOutcome| {
+            let mut g = PositionGrid::new(grid_cfg);
+            let mut i = 0usize;
+            ops_per_sec(|| {
+                apply(&mut g, beacons[i % 4], &profile);
+                i += 1;
+                if i.is_multiple_of(16) {
+                    g.reset_uniform();
+                }
+            })
+        };
+    let kernel_scalar = bench_kernel(PositionGrid::apply_radial_constraint_scalar);
+    let kernel_simd = bench_kernel(PositionGrid::apply_radial_constraint);
     let simd_speedup = kernel_simd / kernel_scalar;
-    let f32_speedup = kernel_f32 / kernel_scalar;
 
-    // Window-level: 4 beacons applied sequentially (one posterior
-    // load/store + renormalize each) vs one fused batch.
-    let constraints: Vec<(Point, &cocoa_net::calibration::RadialProfile)> =
-        beacons.iter().map(|&b| (b, &profile)).collect();
+    // Window-level: 4 beacons through the dense grid, the baseline for the
+    // adaptive window below.
     let mut g_seq = PositionGrid::new(grid_cfg);
     let window_sequential = ops_per_sec(|| {
         g_seq.reset_uniform();
         for &b in &beacons {
-            g_seq.apply_radial_constraint_with(b, &profile, GridKernel::Simd, GridPrecision::F64);
+            g_seq.apply_radial_constraint(b, &profile);
         }
     });
-    let mut g_fused = PositionGrid::new(grid_cfg);
-    let window_fused = ops_per_sec(|| {
-        g_fused.reset_uniform();
-        g_fused.apply_fused_radial_constraints(&constraints, GridPrecision::F64);
-    });
-    let fused_speedup = window_fused / window_sequential;
 
     // Adaptive coarse-to-fine: same 4-beacon window, counting evaluated
     // cells. The dense window touches 4 × 10⁴ cells; the adaptive grid
@@ -382,15 +372,7 @@ fn main() -> ExitCode {
         "grid kernel (simd):    {}  ({simd_speedup:.2}x)",
         fmt_ops(kernel_simd)
     );
-    println!(
-        "grid kernel (f32):     {}  ({f32_speedup:.2}x)",
-        fmt_ops(kernel_f32)
-    );
-    println!(
-        "grid window (fused):   {} vs sequential {}  ({fused_speedup:.2}x)",
-        fmt_ops(window_fused),
-        fmt_ops(window_sequential)
-    );
+    println!("grid window (dense):   {}", fmt_ops(window_sequential));
     println!(
         "grid window (adaptive): {}  ({adaptive_cells_per_window:.0} cells vs {dense_cells_per_window} dense, {cells_ratio:.1}x fewer, est delta {adaptive_estimate_delta:.3} m)",
         fmt_ops(window_adaptive)
@@ -426,11 +408,7 @@ fn main() -> ExitCode {
          \"grid_kernel_scalar_ops_per_sec\": {kernel_scalar:.1},\n  \
          \"grid_kernel_simd_ops_per_sec\": {kernel_simd:.1},\n  \
          \"grid_update_simd_speedup\": {simd_speedup:.2},\n  \
-         \"grid_kernel_f32_ops_per_sec\": {kernel_f32:.1},\n  \
-         \"grid_update_f32_speedup\": {f32_speedup:.2},\n  \
          \"grid_window_sequential_ops_per_sec\": {window_sequential:.1},\n  \
-         \"grid_window_fused_ops_per_sec\": {window_fused:.1},\n  \
-         \"grid_update_fused_speedup\": {fused_speedup:.2},\n  \
          \"grid_window_adaptive_ops_per_sec\": {window_adaptive:.1},\n  \
          \"grid_adaptive_cells_per_window\": {adaptive_cells_per_window:.0},\n  \
          \"grid_dense_cells_per_window\": {dense_cells_per_window},\n  \

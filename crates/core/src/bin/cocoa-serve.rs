@@ -46,7 +46,8 @@ CLIENT OPTIONS:
 
 The server prints `listening on HOST:PORT` on stdout once bound, then
 serves until SIGTERM/SIGINT or POST /v1/shutdown; in-flight runs drain
-to completion before exit.
+to completion before exit. A connection that sends nothing for 5 s is
+dropped, so an idle client cannot hold the drain open.
 
 EXIT CODES:
     0   success

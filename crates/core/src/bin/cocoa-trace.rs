@@ -145,7 +145,7 @@ fn summary(trace: &TraceFile) {
     println!("counters        {}", trace.counters.len());
     println!("spans           {}", trace.spans.len());
     println!("histograms      {}", trace.hists.len());
-    // One-line grid-kernel digest: which inner loop ran and what it cost.
+    // One-line grid digest: which pipeline ran and what it cost.
     let grid = |name: &str| {
         trace
             .counters
@@ -154,10 +154,7 @@ fn summary(trace: &TraceFile) {
             .map_or(0, |(_, v)| *v)
     };
     let variants: Vec<String> = [
-        ("scalar", "grid.kernel.scalar"),
         ("simd", "grid.kernel.simd"),
-        ("simd_f32", "grid.kernel.simd_f32"),
-        ("fused", "grid.kernel.fused"),
         ("adaptive", "grid.kernel.adaptive"),
     ]
     .iter()
@@ -169,10 +166,7 @@ fn summary(trace: &TraceFile) {
     if !variants.is_empty() {
         println!("grid kernels    {}", variants.join(" "));
         println!("grid cells      {}", grid("grid.cells_touched"));
-        let (fused, refined) = (grid("grid.fused_windows"), grid("grid.cells_refined"));
-        if fused > 0 {
-            println!("grid fused wins {fused}");
-        }
+        let refined = grid("grid.cells_refined");
         if refined > 0 {
             println!("grid refined    {refined}");
         }

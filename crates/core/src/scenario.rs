@@ -8,7 +8,7 @@
 use serde::{Deserialize, Serialize};
 
 use cocoa_localization::estimator::{EstimatorMode, RfAlgorithm};
-use cocoa_localization::kernel::{GridKernel, GridPipeline, GridPrecision};
+use cocoa_localization::kernel::GridPipeline;
 use cocoa_mobility::odometry::OdometryConfig;
 use cocoa_multicast::odmrp::{MeshMode, OdmrpConfig};
 use cocoa_multicast::protocol::MulticastProtocol;
@@ -111,9 +111,8 @@ pub struct Scenario {
     /// from our reference estimate disagrees with the RSSI-implied
     /// distance by more than this. `0.0` disables the gate.
     pub outlier_gate_m: f64,
-    /// Grid-update pipeline: kernel variant, lane precision, window-level
-    /// beacon fusion and coarse-to-fine adaptive resolution. The default
-    /// reproduces the reference posterior bit for bit.
+    /// Grid-update pipeline: the dense lane-kernel grid (the default) or
+    /// coarse-to-fine adaptive resolution.
     #[serde(default)]
     pub grid_pipeline: GridPipeline,
 }
@@ -217,15 +216,7 @@ impl Scenario {
                 self.outlier_gate_m
             ));
         }
-        self.grid_pipeline.validate()?;
-        if self.grid_pipeline.fused && self.grid_pipeline.adaptive {
-            return Err(
-                "fused windows and the adaptive grid cannot be combined (the batch \
-                 pass is defined over the dense posterior)"
-                    .into(),
-            );
-        }
-        Ok(())
+        self.grid_pipeline.validate()
     }
 }
 
@@ -469,24 +460,6 @@ impl ScenarioBuilder {
     /// Sets the whole grid-update pipeline at once.
     pub fn grid_pipeline(&mut self, pipeline: GridPipeline) -> &mut Self {
         self.scenario.grid_pipeline = pipeline;
-        self
-    }
-
-    /// Selects the grid kernel variant.
-    pub fn grid_kernel(&mut self, kernel: GridKernel) -> &mut Self {
-        self.scenario.grid_pipeline.kernel = kernel;
-        self
-    }
-
-    /// Selects the lane arithmetic precision.
-    pub fn grid_precision(&mut self, precision: GridPrecision) -> &mut Self {
-        self.scenario.grid_pipeline.precision = precision;
-        self
-    }
-
-    /// Enables/disables fused (whole-window) beacon batching.
-    pub fn grid_fused(&mut self, fused: bool) -> &mut Self {
-        self.scenario.grid_pipeline.fused = fused;
         self
     }
 

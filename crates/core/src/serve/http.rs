@@ -30,8 +30,9 @@ fn head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-/// Reads one request off the stream. Blocking; the caller owns
-/// timeouts via `TcpStream::set_read_timeout`.
+/// Reads one request off the stream. Blocking, but each read is bounded
+/// by the stream's read timeout, which the server's accept loop sets on
+/// every connection; a read that times out fails the request.
 pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 4096];

@@ -42,7 +42,9 @@
 //! SIGTERM/SIGINT (via `cocoa-signal`), `POST /v1/shutdown` or
 //! [`Server::begin_shutdown`] stop the accept loop; in-flight
 //! connections drain to completion, then the serve manifest is
-//! persisted. With a state directory configured, completed results are
+//! persisted. Every connection reads and writes under
+//! [`CONN_IO_TIMEOUT`], so a silent client delays the drain by at most
+//! that long. With a state directory configured, completed results are
 //! also persisted per-job and restored on the next start, so a restart
 //! resumes cache service without recomputing anything.
 
@@ -84,6 +86,10 @@ const MANIFEST_FILE: &str = "serve-manifest.json";
 /// and the time-to-first-byte of a cache hit, so it is kept small; the
 /// idle spin this buys (500 wakeups/s) is noise next to one run.
 const ACCEPT_POLL: Duration = Duration::from_millis(2);
+/// Read and write timeout of every accepted connection. A peer that goes
+/// silent mid-request (or never sends one) is dropped after this long, so
+/// an idle socket cannot hold a graceful drain open.
+pub const CONN_IO_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Server configuration. `Default` binds an ephemeral localhost port
 /// with no deadline and no persistence.
@@ -309,8 +315,12 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         match listener.accept() {
             Ok((stream, peer)) => {
                 // The listener is nonblocking (for shutdown polling);
-                // accepted streams must not inherit that.
-                if stream.set_nonblocking(false).is_err() {
+                // accepted streams must not inherit that, but their
+                // blocking reads and writes are bounded.
+                if stream.set_nonblocking(false).is_err()
+                    || stream.set_read_timeout(Some(CONN_IO_TIMEOUT)).is_err()
+                    || stream.set_write_timeout(Some(CONN_IO_TIMEOUT)).is_err()
+                {
                     continue;
                 }
                 let conn_shared = Arc::clone(&shared);

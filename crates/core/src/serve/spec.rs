@@ -11,7 +11,6 @@
 //! on what constitutes a valid experiment.
 
 use cocoa_localization::estimator::{EstimatorMode, RfAlgorithm};
-use cocoa_localization::kernel::{GridKernel, GridPrecision};
 use cocoa_multicast::protocol::MulticastProtocol;
 use cocoa_sim::faults::FaultPlan;
 use cocoa_sim::telemetry::TelemetryLevel;
@@ -141,27 +140,6 @@ pub fn parse_spec(spec: &str) -> Result<ServeRequest, String> {
             },
             "grid_m" => {
                 b.grid_resolution(num(key, value)?);
-            }
-            "grid_kernel" => match text(key, value)? {
-                "simd" => {
-                    b.grid_kernel(GridKernel::Simd);
-                }
-                "scalar" => {
-                    b.grid_kernel(GridKernel::Scalar);
-                }
-                other => return Err(format!("unknown grid kernel '{other}'")),
-            },
-            "grid_precision" => match text(key, value)? {
-                "f64" => {
-                    b.grid_precision(GridPrecision::F64);
-                }
-                "f32" => {
-                    b.grid_precision(GridPrecision::F32);
-                }
-                other => return Err(format!("unknown grid precision '{other}'")),
-            },
-            "grid_fused" => {
-                b.grid_fused(flag(key, value)?);
             }
             "grid_adaptive" => {
                 b.grid_adaptive(flag(key, value)?);
@@ -318,7 +296,15 @@ mod tests {
     fn parsing_fails_closed() {
         assert!(parse_spec("not json").is_err());
         assert!(parse_spec("{\"robots\": \"many\"}").is_err(), "mistyped");
-        assert!(parse_spec("{\"robotz\": 5}").is_err(), "unknown key");
+        for spec in [
+            "{\"robotz\": 5}",
+            "{\"grid_kernel\": \"simd\"}",
+            "{\"grid_precision\": \"f32\"}",
+            "{\"grid_fused\": true}",
+        ] {
+            let err = parse_spec(spec).unwrap_err();
+            assert!(err.starts_with("unknown spec key"), "{spec}: {err}");
+        }
         assert!(parse_spec("{\"mode\": \"psychic\"}").is_err());
         assert!(
             parse_spec("{\"static\": true, \"v_max\": 3.0}").is_err(),

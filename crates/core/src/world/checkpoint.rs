@@ -32,7 +32,7 @@ use cocoa_localization::estimator::{
     EstimatorCheckpoint, EstimatorMode, RfAlgorithm, WindowStats, WindowedRfEstimator,
 };
 use cocoa_localization::grid::GridConfig;
-use cocoa_localization::kernel::{GridKernel, GridPipeline, GridPrecision};
+use cocoa_localization::kernel::GridPipeline;
 use cocoa_localization::multilateration::RangeObservation;
 use cocoa_mobility::motion::RobotMotion;
 use cocoa_mobility::odometry::{Odometer, OdometerCheckpoint, OdometryConfig};
@@ -48,7 +48,6 @@ use cocoa_net::mac::{ActiveTxState, Medium, MediumState, TxId};
 use cocoa_net::packet::{NodeId, Packet};
 use cocoa_net::radio::{Radio, RadioCheckpoint};
 use cocoa_net::rssi::Dbm;
-use cocoa_net::rssi::RssiBin;
 use cocoa_sim::engine::Engine;
 use cocoa_sim::event::EventQueue;
 use cocoa_sim::faults::{Fault, FaultPlan, GilbertElliott, GilbertElliottLink};
@@ -430,21 +429,6 @@ fn encode_scenario(s: &Scenario) -> Vec<u8> {
     put_u32(&mut buf, s.failover_missed_periods);
     put_f64(&mut buf, s.entropy_watchdog_frac);
     put_f64(&mut buf, s.outlier_gate_m);
-    put_u8(
-        &mut buf,
-        match s.grid_pipeline.kernel {
-            GridKernel::Scalar => 0,
-            GridKernel::Simd => 1,
-        },
-    );
-    put_u8(
-        &mut buf,
-        match s.grid_pipeline.precision {
-            GridPrecision::F64 => 0,
-            GridPrecision::F32 => 1,
-        },
-    );
-    put_bool(&mut buf, s.grid_pipeline.fused);
     put_bool(&mut buf, s.grid_pipeline.adaptive);
     put_u32(&mut buf, s.grid_pipeline.adaptive_coarse_factor);
     put_f64(&mut buf, s.grid_pipeline.adaptive_refine_factor);
@@ -650,17 +634,6 @@ fn decode_scenario(r: &mut SnapshotReader<'_>) -> Result<Scenario, SnapshotError
     let entropy_watchdog_frac = r.f64()?;
     let outlier_gate_m = r.f64()?;
     let grid_pipeline = GridPipeline {
-        kernel: match r.u8()? {
-            0 => GridKernel::Scalar,
-            1 => GridKernel::Simd,
-            t => return Err(bad_tag("grid kernel", t)),
-        },
-        precision: match r.u8()? {
-            0 => GridPrecision::F64,
-            1 => GridPrecision::F32,
-            t => return Err(bad_tag("grid precision", t)),
-        },
-        fused: r.bool()?,
         adaptive: r.bool()?,
         adaptive_coarse_factor: r.u32()?,
         adaptive_refine_factor: r.f64()?,
@@ -948,7 +921,7 @@ fn decode_medium(r: &mut SnapshotReader<'_>) -> Result<MediumState, SnapshotErro
 // Robots section.
 // ---------------------------------------------------------------------------
 
-/// Writes the v4 estimator section: the lifecycle header shared by every
+/// Writes the estimator section: the lifecycle header shared by every
 /// backend, then a backend tag and the tagged solver payload (mirroring
 /// [`BackendCheckpoint`]).
 fn put_estimator(buf: &mut Vec<u8>, c: &EstimatorCheckpoint) {
@@ -972,7 +945,6 @@ fn put_estimator(buf: &mut Vec<u8>, c: &EstimatorCheckpoint) {
         BackendCheckpoint::Bayes {
             posterior_cells,
             adaptive_tiles,
-            pending,
             grid_stats,
             beacons_applied,
             beacons_seen,
@@ -990,16 +962,8 @@ fn put_estimator(buf: &mut Vec<u8>, c: &EstimatorCheckpoint) {
                     put_vec(b, cells, |b, &m| put_f64(b, m));
                 }
             });
-            put_vec(buf, pending, |b, &(anchor, bin)| {
-                put_point(b, anchor);
-                put_u32(b, bin.0 as u16 as u32);
-            });
-            put_u64(buf, grid_stats.kernel_scalar);
             put_u64(buf, grid_stats.kernel_simd);
-            put_u64(buf, grid_stats.kernel_simd_f32);
-            put_u64(buf, grid_stats.kernel_fused);
             put_u64(buf, grid_stats.kernel_adaptive);
-            put_u64(buf, grid_stats.fused_windows);
             put_u64(buf, grid_stats.cells_touched);
             put_u64(buf, grid_stats.cells_refined);
         }
@@ -1056,25 +1020,15 @@ fn read_estimator(r: &mut SnapshotReader<'_>) -> Result<EstimatorCheckpoint, Sna
                 1 => Ok(Tile::Refined(read_vec(r, |r| r.f64())?)),
                 t => Err(bad_tag("adaptive tile", t)),
             })?;
-            let pending = read_vec(r, |r| {
-                let anchor = read_point(r)?;
-                let bin = RssiBin(r.u32()? as u16 as i16);
-                Ok((anchor, bin))
-            })?;
             let grid_stats = GridStats {
-                kernel_scalar: r.u64()?,
                 kernel_simd: r.u64()?,
-                kernel_simd_f32: r.u64()?,
-                kernel_fused: r.u64()?,
                 kernel_adaptive: r.u64()?,
-                fused_windows: r.u64()?,
                 cells_touched: r.u64()?,
                 cells_refined: r.u64()?,
             };
             BackendCheckpoint::Bayes {
                 posterior_cells,
                 adaptive_tiles,
-                pending,
                 grid_stats,
                 beacons_applied,
                 beacons_seen,
@@ -2409,23 +2363,16 @@ mod tests {
                 ],
                 0..6,
             ),
-            proptest::collection::vec(
-                (arb_point(), -120i16..0).prop_map(|(p, b)| (p, RssiBin(b))),
-                0..4,
-            ),
             any::<u8>(),
             any::<u8>(),
         )
-            .prop_map(
-                |(cells, tiles, pending, applied, seen)| BackendCheckpoint::Bayes {
-                    posterior_cells: cells,
-                    adaptive_tiles: tiles,
-                    pending,
-                    grid_stats: GridStats::default(),
-                    beacons_applied: u32::from(applied),
-                    beacons_seen: u32::from(seen),
-                },
-            );
+            .prop_map(|(cells, tiles, applied, seen)| BackendCheckpoint::Bayes {
+                posterior_cells: cells,
+                adaptive_tiles: tiles,
+                grid_stats: GridStats::default(),
+                beacons_applied: u32::from(applied),
+                beacons_seen: u32::from(seen),
+            });
         let lateration = proptest::collection::vec(
             (arb_point(), 0.1f64..300.0, 0.01f64..10.0).prop_map(|(anchor, range, weight)| {
                 RangeObservation {
@@ -2463,7 +2410,7 @@ mod tests {
     }
 
     proptest! {
-        /// The v4 estimator section round-trips byte-exactly for every
+        /// The estimator section round-trips byte-exactly for every
         /// backend variant: encode → decode → re-encode reproduces both
         /// the checkpoint struct and the original bytes.
         #[test]
@@ -2702,24 +2649,6 @@ mod tests {
                         adaptive_coarse_factor: 8,
                         ..GridPipeline::default()
                     });
-                }),
-            ),
-            (
-                "grid_kernel",
-                Box::new(|b| {
-                    b.grid_kernel(GridKernel::Scalar);
-                }),
-            ),
-            (
-                "grid_precision",
-                Box::new(|b| {
-                    b.grid_precision(GridPrecision::F32);
-                }),
-            ),
-            (
-                "grid_fused",
-                Box::new(|b| {
-                    b.grid_fused(true);
                 }),
             ),
             (

@@ -214,7 +214,7 @@ pub(crate) fn robot_window_end(
         if let Some(rf) = r.rf.as_mut() {
             let had_window = rf.in_window();
             let sp = world.telemetry.span_start();
-            let outcome = rf.end_window_guarded_with(watchdog, Some(&world.radial));
+            let outcome = rf.end_window_guarded(watchdog);
             world.telemetry.span_end(world.spans.grid_fix, sp);
             match outcome {
                 WindowOutcome::Fix(fix) => {

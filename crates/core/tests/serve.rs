@@ -1,15 +1,17 @@
 //! End-to-end tests for the `cocoa-serve` subsystem: wire fidelity,
-//! single-flight dedup, the two cache layers, failure mapping, and
-//! persistence across restarts. Every test runs a real server on an
-//! ephemeral localhost port and talks to it through the bundled
-//! client — the same code path `cocoa-serve --submit` uses.
+//! single-flight dedup, the two cache layers, failure mapping,
+//! persistence across restarts, and a drain no idle client can block.
+//! Every test runs a real server on an ephemeral localhost port and
+//! talks to it through the bundled client — the same code path
+//! `cocoa-serve --submit` uses.
 
-use std::sync::Arc;
-use std::time::Duration;
+use std::net::TcpStream;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 use cocoa_core::executor::manifest::encode_metrics;
 use cocoa_core::runner::SimRun;
-use cocoa_core::serve::{client, parse_spec, ServeConfig, Server};
+use cocoa_core::serve::{client, parse_spec, ServeConfig, Server, CONN_IO_TIMEOUT};
 use cocoa_sim::telemetry::Telemetry;
 
 fn start(cfg: ServeConfig) -> (Server, String) {
@@ -200,6 +202,10 @@ fn invalid_specs_are_rejected_with_400() {
         "not json at all",
         "{\"robotz\": 5}",
         "{\"robots\": 4, \"equipped\": 9}",
+        // Removed grid-pipeline knobs fail closed like any unknown key.
+        "{\"grid_kernel\": \"simd\"}",
+        "{\"grid_precision\": \"f32\"}",
+        "{\"grid_fused\": true}",
     ] {
         let response = client::submit(&addr, bad).expect("transport ok");
         assert_eq!(response.status, 400, "spec {bad:?}");
@@ -209,7 +215,7 @@ fn invalid_specs_are_rejected_with_400() {
             response.body_str()
         );
     }
-    assert_eq!(counter(&server, "serve.rejected"), 3);
+    assert_eq!(counter(&server, "serve.rejected"), 6);
     assert_eq!(counter(&server, "serve.executed"), 0);
 }
 
@@ -268,6 +274,32 @@ fn results_persist_across_a_restart() {
     );
     assert_eq!(counter(&server, "serve.executed"), 0, "no recompute");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn idle_connection_does_not_block_graceful_drain() {
+    let (server, addr) = start(ServeConfig {
+        quiet: true,
+        ..ServeConfig::default()
+    });
+    // A client that connects and never sends a byte.
+    let _idle = TcpStream::connect(&addr).expect("connect");
+    // The accept loop takes connections in arrival order, so once a later
+    // request is answered the idle socket has a handler of its own.
+    assert_eq!(client::get(&addr, "/healthz").expect("healthz").status, 200);
+    let started = Instant::now();
+    let (done_tx, done_rx) = mpsc::channel();
+    let drain = std::thread::spawn(move || {
+        server.shutdown();
+        let _ = done_tx.send(());
+    });
+    let bound = CONN_IO_TIMEOUT + Duration::from_secs(5);
+    assert!(
+        done_rx.recv_timeout(bound).is_ok(),
+        "server still draining {:?} after shutdown with an idle client",
+        started.elapsed()
+    );
+    drain.join().expect("drain thread");
 }
 
 #[test]

@@ -12,9 +12,10 @@ use std::sync::OnceLock;
 use cocoa_core::metrics::RunMetrics;
 use cocoa_core::runner::SimRun;
 use cocoa_core::scenario::Scenario;
-use cocoa_localization::kernel::{GridKernel, GridPipeline, GridPrecision};
+use cocoa_localization::kernel::GridPipeline;
 use cocoa_multicast::protocol::MulticastProtocol;
 use cocoa_sim::faults::FaultPlan;
+use cocoa_sim::snapshot::SnapshotError;
 use cocoa_sim::telemetry::{Telemetry, TelemetryLevel};
 use cocoa_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -80,7 +81,7 @@ fn resume_is_bit_identical_across_backends_and_fault_presets() {
 
 #[test]
 fn resume_is_bit_identical_for_every_estimator_backend() {
-    // The v4 estimator section is backend-tagged: each RF solver's state
+    // The estimator section is backend-tagged: each RF solver's state
     // (posterior cells / range set / EKF mean+covariance) must survive
     // capture and restore so the resumed run stays bit-identical, across
     // every mesh backend it might be combined with.
@@ -110,45 +111,49 @@ fn resume_is_bit_identical_for_every_estimator_backend() {
 }
 
 #[test]
-fn resume_is_bit_identical_for_every_grid_kernel_variant() {
+fn resume_is_bit_identical_for_dense_and_adaptive_grids() {
     let at = SimTime::ZERO + SimDuration::from_secs(DURATION_S / 2);
-    let variants = [
-        GridPipeline {
-            kernel: GridKernel::Scalar,
-            ..GridPipeline::default()
-        },
-        GridPipeline::default(), // simd / f64
-        GridPipeline {
-            precision: GridPrecision::F32,
-            ..GridPipeline::default()
-        },
-        GridPipeline {
-            fused: true,
-            ..GridPipeline::default()
-        },
+    let pipelines = [
+        GridPipeline::default(),
         GridPipeline {
             adaptive: true,
             ..GridPipeline::default()
         },
     ];
-    for pipeline in variants {
-        let mut s = scenario(42, MulticastProtocol::Mrmm, "sync-crash");
-        s.grid_pipeline = pipeline;
-        s.validate().expect("variant scenario must validate");
-        let (m_cold, j_cold) = uninterrupted(&s);
-        let (m_res, j_res) = interrupted_at(&s, at);
-        assert_eq!(
-            m_cold,
-            m_res,
-            "{}: RunMetrics diverged after resume",
-            pipeline.variant_name()
-        );
-        assert_eq!(
-            j_cold,
-            j_res,
-            "{}: telemetry JSONL diverged after resume",
-            pipeline.variant_name()
-        );
+    for pipeline in pipelines {
+        for protocol in MulticastProtocol::ALL {
+            let mut s = scenario(42, protocol, "sync-crash");
+            s.grid_pipeline = pipeline;
+            s.validate().expect("pipeline scenario must validate");
+            let (m_cold, j_cold) = uninterrupted(&s);
+            let (m_res, j_res) = interrupted_at(&s, at);
+            assert_eq!(
+                m_cold,
+                m_res,
+                "{}/{}: RunMetrics diverged after resume",
+                pipeline.variant_name(),
+                protocol.as_str()
+            );
+            assert_eq!(
+                j_cold,
+                j_res,
+                "{}/{}: telemetry JSONL diverged after resume",
+                pipeline.variant_name(),
+                protocol.as_str()
+            );
+        }
+    }
+}
+
+#[test]
+fn schema_4_snapshots_are_refused_with_a_typed_error() {
+    // Schema 4 still carried the grid kernel, precision and fused-window
+    // state; a current capture relabelled as v4 stands in for such a file.
+    let mut bytes = pristine().clone();
+    bytes[4..8].copy_from_slice(&4u32.to_le_bytes());
+    match SimRun::resume(&bytes) {
+        Err(err) => assert_eq!(err, SnapshotError::UnsupportedVersion { found: 4 }),
+        Ok(_) => panic!("a schema-4 snapshot must not restore"),
     }
 }
 

@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 
 use cocoa_net::calibration::{PdfTable, RadialConstraintTable};
 use cocoa_net::geometry::Point;
-use cocoa_net::rssi::{Dbm, RssiBin};
+use cocoa_net::rssi::Dbm;
 
 use crate::adaptive::Tile;
 use crate::bayes::{
@@ -71,10 +71,6 @@ pub trait RfBackend {
         beacon_pos: Point,
         rssi: Dbm,
     ) -> ObservationResult;
-
-    /// Commits beacons a fused pipeline recorded during the window in one
-    /// batched pass. A no-op for backends without a fused pipeline.
-    fn flush_pending(&mut self, _radial: &RadialConstraintTable) {}
 
     /// The solver's position estimate at window end, if this window
     /// gathered enough evidence for one.
@@ -132,7 +128,7 @@ pub trait RfBackend {
 }
 
 /// One backend's complete state as checkpoint data, tagged by algorithm
-/// (the snapshot codec's v4 estimator section mirrors this shape).
+/// (the snapshot codec's estimator section mirrors this shape).
 #[derive(Debug, Clone, PartialEq)]
 pub enum BackendCheckpoint {
     /// [`BayesianLocalizer`] state. Dense pipelines fill
@@ -142,9 +138,7 @@ pub enum BackendCheckpoint {
         posterior_cells: Vec<f64>,
         /// Posterior tile state (adaptive pipeline; empty otherwise).
         adaptive_tiles: Vec<Tile>,
-        /// Recorded-but-unflushed fused beacons.
-        pending: Vec<(Point, RssiBin)>,
-        /// Kernel/fusion/adaptive accounting.
+        /// Kernel/adaptive accounting.
         grid_stats: GridStats,
         /// Beacons applied since the last window reset.
         beacons_applied: u32,
@@ -206,10 +200,6 @@ impl RfBackend for BayesianLocalizer {
         BayesianLocalizer::observe_beacon_radial(self, radial, beacon_pos, rssi)
     }
 
-    fn flush_pending(&mut self, radial: &RadialConstraintTable) {
-        BayesianLocalizer::flush_pending(self, radial);
-    }
-
     fn estimate(&self) -> Option<Point> {
         BayesianLocalizer::estimate(self)
     }
@@ -247,7 +237,6 @@ impl RfBackend for BayesianLocalizer {
         BackendCheckpoint::Bayes {
             posterior_cells: cells,
             adaptive_tiles: tiles,
-            pending: self.pending().to_vec(),
             grid_stats: *BayesianLocalizer::grid_stats(self),
             beacons_applied: self.beacons_applied(),
             beacons_seen: self.beacons_seen(),

@@ -11,11 +11,11 @@ use serde::{Deserialize, Serialize};
 
 use cocoa_net::calibration::{PdfTable, RadialConstraintTable};
 use cocoa_net::geometry::Point;
-use cocoa_net::rssi::{Dbm, RssiBin};
+use cocoa_net::rssi::Dbm;
 
 use crate::adaptive::{AdaptiveGrid, Tile};
 use crate::grid::{ConstraintOutcome, GridConfig, PositionGrid};
-use crate::kernel::{GridKernel, GridPipeline};
+use crate::kernel::GridPipeline;
 
 /// The paper requires at least this many beacons before estimating.
 pub const MIN_BEACONS_FOR_ESTIMATE: u32 = 3;
@@ -89,11 +89,6 @@ pub struct BayesianLocalizer {
     pipeline: GridPipeline,
     beacons_applied: u32,
     beacons_seen: u32,
-    /// Beacons resolved but not yet multiplied in (fused mode only): the
-    /// claimed position and the already-resolved RSSI bin of each beacon of
-    /// the current window, flushed in one grid pass by
-    /// [`flush_pending`](Self::flush_pending).
-    pending: Vec<(Point, RssiBin)>,
     stats: GridStats,
 }
 
@@ -108,23 +103,15 @@ pub enum Posterior {
     Adaptive(AdaptiveGrid),
 }
 
-/// Cumulative grid-kernel cost accounting, surfaced as `grid.*` telemetry
+/// Cumulative grid-update cost accounting, surfaced as `grid.*` telemetry
 /// counters. Counts are per constraint application (not per window) and
 /// survive window resets — they describe work done, not posterior state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct GridStats {
-    /// Radial constraints applied through the scalar reference kernel.
-    pub kernel_scalar: u64,
     /// Radial constraints applied through the lane-packed f64 kernel.
     pub kernel_simd: u64,
-    /// Radial constraints applied through the f32 lane kernel.
-    pub kernel_simd_f32: u64,
-    /// Radial constraints folded through fused window batches.
-    pub kernel_fused: u64,
     /// Radial constraints applied on the adaptive grid.
     pub kernel_adaptive: u64,
-    /// Windows whose beacons were committed as one fused grid pass.
-    pub fused_windows: u64,
     /// Cells whose constraint weight was evaluated, across all kernels
     /// (the adaptive mode's headline saving).
     pub cells_touched: u64,
@@ -136,12 +123,8 @@ impl GridStats {
     /// Merges another accumulator into this one (used when aggregating
     /// per-robot stats into run-level counters).
     pub fn absorb(&mut self, other: &GridStats) {
-        self.kernel_scalar += other.kernel_scalar;
         self.kernel_simd += other.kernel_simd;
-        self.kernel_simd_f32 += other.kernel_simd_f32;
-        self.kernel_fused += other.kernel_fused;
         self.kernel_adaptive += other.kernel_adaptive;
-        self.fused_windows += other.fused_windows;
         self.cells_touched += other.cells_touched;
         self.cells_refined += other.cells_refined;
     }
@@ -149,8 +132,7 @@ impl GridStats {
 
 impl BayesianLocalizer {
     /// Creates a localizer with a uniform prior over the area and the
-    /// default grid pipeline (lane-packed f64 kernel — bit-identical to the
-    /// scalar reference).
+    /// default (dense) grid pipeline.
     pub fn new(config: GridConfig) -> Self {
         Self::with_pipeline(config, GridPipeline::default())
     }
@@ -171,7 +153,6 @@ impl BayesianLocalizer {
             pipeline,
             beacons_applied: 0,
             beacons_seen: 0,
-            pending: Vec::new(),
             stats: GridStats::default(),
         }
     }
@@ -229,15 +210,8 @@ impl BayesianLocalizer {
     /// Incorporates one beacon through the radial fast path: the constraint
     /// comes from `radial`'s pre-sampled profile for the observed RSSI
     /// (same bin-fallback rule as [`PdfTable::lookup`]) and is applied
-    /// through the pipeline-selected kernel — no per-cell `exp`, no
-    /// allocation.
-    ///
-    /// In **fused** mode the observation is only *recorded* (position +
-    /// resolved bin); the grid work happens in one batched pass at
-    /// [`flush_pending`](Self::flush_pending). `Applied` is then reported
-    /// optimistically — with the constraint floor baked into every profile
-    /// a fused batch cannot reject in practice, and the beacon counters
-    /// that gate [`estimate`](Self::estimate) are only advanced at flush.
+    /// through the lane-packed kernel (or the adaptive grid) — no per-cell
+    /// `exp`, no allocation.
     pub fn observe_beacon_radial(
         &mut self,
         radial: &RadialConstraintTable,
@@ -245,45 +219,14 @@ impl BayesianLocalizer {
         rssi: Dbm,
     ) -> ObservationResult {
         self.beacons_seen += 1;
-        if self.pipeline.fused && !self.pipeline.adaptive {
-            let Some(bin) = radial.resolve(rssi) else {
-                return ObservationResult::NoPdf;
-            };
-            self.pending.push((beacon_pos, bin));
-            return ObservationResult::Applied;
-        }
         let Some(profile) = radial.lookup(rssi) else {
             return ObservationResult::NoPdf;
         };
-        let outcome = self.apply_radial(beacon_pos, profile);
-        self.record(outcome)
-    }
-
-    /// Applies one radial constraint through the pipeline-selected kernel,
-    /// updating the cost accounting.
-    fn apply_radial(
-        &mut self,
-        beacon_pos: Point,
-        profile: &cocoa_net::calibration::RadialProfile,
-    ) -> ConstraintOutcome {
-        match &mut self.posterior {
+        let outcome = match &mut self.posterior {
             Posterior::Dense(grid) => {
+                self.stats.kernel_simd += 1;
                 self.stats.cells_touched += grid.num_cells() as u64;
-                match (self.pipeline.kernel, self.pipeline.precision) {
-                    (GridKernel::Scalar, _) => self.stats.kernel_scalar += 1,
-                    (GridKernel::Simd, crate::kernel::GridPrecision::F64) => {
-                        self.stats.kernel_simd += 1
-                    }
-                    (GridKernel::Simd, crate::kernel::GridPrecision::F32) => {
-                        self.stats.kernel_simd_f32 += 1
-                    }
-                }
-                grid.apply_radial_constraint_with(
-                    beacon_pos,
-                    profile,
-                    self.pipeline.kernel,
-                    self.pipeline.precision,
-                )
+                grid.apply_radial_constraint(beacon_pos, profile)
             }
             Posterior::Adaptive(grid) => {
                 let (outcome, op) = grid.apply_radial_constraint(beacon_pos, profile);
@@ -292,59 +235,8 @@ impl BayesianLocalizer {
                 self.stats.cells_refined += op.cells_refined;
                 outcome
             }
-        }
-    }
-
-    /// Commits all recorded-but-unapplied beacons of a fused window in one
-    /// grid pass (one posterior load/store and one renormalize for the
-    /// whole batch), advancing the beacon counters. Returns the number of
-    /// beacons committed. A no-op outside fused mode or with nothing
-    /// pending.
-    ///
-    /// If the *batch* product is degenerate (requires non-finite profile
-    /// values — the floor rules out a zero total) the batch falls back to
-    /// sequential application so a single poisoned beacon cannot veto its
-    /// whole window.
-    pub fn flush_pending(&mut self, radial: &RadialConstraintTable) -> u32 {
-        if self.pending.is_empty() {
-            return 0;
-        }
-        let pending = std::mem::take(&mut self.pending);
-        let constraints: Vec<(Point, &cocoa_net::calibration::RadialProfile)> = pending
-            .iter()
-            .filter_map(|&(pos, bin)| radial.get(bin).map(|p| (pos, p)))
-            .collect();
-        let n = constraints.len() as u32;
-        let precision = self.pipeline.precision;
-        let outcome = self
-            .dense_mut()
-            .apply_fused_radial_constraints(&constraints, precision);
-        match outcome {
-            ConstraintOutcome::Applied => {
-                self.stats.fused_windows += 1;
-                self.stats.kernel_fused += u64::from(n);
-                self.stats.cells_touched += u64::from(n) * self.num_posterior_cells() as u64;
-                self.beacons_applied += n;
-                n
-            }
-            ConstraintOutcome::Rejected => {
-                let mut applied = 0;
-                for (pos, profile) in constraints {
-                    if self.apply_radial(pos, profile) == ConstraintOutcome::Applied {
-                        self.beacons_applied += 1;
-                        applied += 1;
-                    }
-                }
-                applied
-            }
-        }
-    }
-
-    fn num_posterior_cells(&self) -> usize {
-        match &self.posterior {
-            Posterior::Dense(g) => g.num_cells(),
-            Posterior::Adaptive(g) => g.num_cells(),
-        }
+        };
+        self.record(outcome)
     }
 
     fn record(&mut self, outcome: ConstraintOutcome) -> ObservationResult {
@@ -359,9 +251,6 @@ impl BayesianLocalizer {
 
     /// The position estimate: the posterior mean, available once at least
     /// [`MIN_BEACONS_FOR_ESTIMATE`] beacons were applied (paper Section 2.2).
-    ///
-    /// In fused mode, call [`flush_pending`](Self::flush_pending) first —
-    /// recorded-but-unflushed beacons do not count.
     pub fn estimate(&self) -> Option<Point> {
         if self.beacons_applied >= MIN_BEACONS_FOR_ESTIMATE {
             Some(match &self.posterior {
@@ -402,14 +291,12 @@ impl BayesianLocalizer {
     }
 
     /// Resets to the uniform prior — the paper's robots "throw away their
-    /// currently estimated positions" at each transmit period. Also drops
-    /// any unflushed fused beacons (their window is over).
+    /// currently estimated positions" at each transmit period.
     pub fn reset(&mut self) {
         match &mut self.posterior {
             Posterior::Dense(g) => g.reset_uniform(),
             Posterior::Adaptive(g) => g.reset_uniform(),
         }
-        self.pending.clear();
         self.beacons_applied = 0;
         self.beacons_seen = 0;
     }
@@ -470,24 +357,12 @@ impl BayesianLocalizer {
         }
     }
 
-    /// Restores checkpointed beacon counters, pending fused beacons and
-    /// kernel accounting (checkpoint plumbing).
-    pub fn restore_counters(
-        &mut self,
-        beacons_applied: u32,
-        beacons_seen: u32,
-        pending: Vec<(Point, RssiBin)>,
-        stats: GridStats,
-    ) {
+    /// Restores checkpointed beacon counters and kernel accounting
+    /// (checkpoint plumbing).
+    pub fn restore_counters(&mut self, beacons_applied: u32, beacons_seen: u32, stats: GridStats) {
         self.beacons_applied = beacons_applied;
         self.beacons_seen = beacons_seen;
-        self.pending = pending;
         self.stats = stats;
-    }
-
-    /// The recorded-but-unflushed fused beacons (checkpoint plumbing).
-    pub fn pending(&self) -> &[(Point, RssiBin)] {
-        &self.pending
     }
 }
 

@@ -247,9 +247,9 @@ impl WindowedRfEstimator {
     }
 
     /// Creates an estimator with an explicit per-window algorithm and grid
-    /// pipeline (kernel, precision, fusion, adaptive resolution). The
-    /// pipeline only affects the Bayesian backend; the gridless backends
-    /// (multilateration, EKF) ignore it.
+    /// pipeline (dense or adaptive resolution). The pipeline only affects
+    /// the Bayesian backend; the gridless backends (multilateration, EKF)
+    /// ignore it.
     pub fn with_pipeline(grid: GridConfig, algorithm: RfAlgorithm, pipeline: GridPipeline) -> Self {
         let backend = match algorithm {
             RfAlgorithm::Bayes => {
@@ -420,28 +420,7 @@ impl WindowedRfEstimator {
     /// `watchdog_frac >= 1.0` disables the veto. Backends without a
     /// posterior ([`RfBackend::end_window_confidence`] returns `None`)
     /// never trip the watchdog.
-    ///
-    /// Fused pipelines must flush their pending beacons before the window
-    /// is judged — use
-    /// [`end_window_guarded_with`](Self::end_window_guarded_with) and pass
-    /// the radial constraint table whenever the pipeline may be fused.
     pub fn end_window_guarded(&mut self, watchdog_frac: f64) -> WindowOutcome {
-        self.end_window_guarded_with(watchdog_frac, None)
-    }
-
-    /// [`end_window_guarded`](Self::end_window_guarded), first committing
-    /// any beacons a fused pipeline recorded during the window in one
-    /// batched grid pass. `radial` must describe the same calibration the
-    /// beacons were observed under; `None` is only correct for unfused
-    /// pipelines (any pending beacons would be dropped).
-    pub fn end_window_guarded_with(
-        &mut self,
-        watchdog_frac: f64,
-        radial: Option<&RadialConstraintTable>,
-    ) -> WindowOutcome {
-        if let Some(radial) = radial {
-            self.backend.as_dyn_mut().flush_pending(radial);
-        }
         self.in_window = false;
         let Some(fix) = self.backend.as_dyn().estimate() else {
             return WindowOutcome::NoFix;
@@ -523,9 +502,9 @@ impl WindowedRfEstimator {
     }
 
     /// [`from_checkpoint`](Self::from_checkpoint) under an explicit grid
-    /// pipeline — required for bit-identical resume of non-default kernel
-    /// variants, since the pipeline decides which posterior representation
-    /// and counters the checkpoint fields map onto.
+    /// pipeline — required for bit-identical resume of an adaptive run,
+    /// since the pipeline decides which posterior representation the
+    /// checkpoint fields map onto.
     ///
     /// # Panics
     ///
@@ -540,7 +519,6 @@ impl WindowedRfEstimator {
             BackendCheckpoint::Bayes {
                 posterior_cells,
                 adaptive_tiles,
-                pending,
                 grid_stats,
                 beacons_applied,
                 beacons_seen,
@@ -551,7 +529,7 @@ impl WindowedRfEstimator {
                 } else {
                     b.restore_posterior_cells(&posterior_cells);
                 }
-                b.restore_counters(beacons_applied, beacons_seen, pending, grid_stats);
+                b.restore_counters(beacons_applied, beacons_seen, grid_stats);
                 Backend::Bayes(Box::new(b))
             }
             BackendCheckpoint::Lateration { ranges } => {

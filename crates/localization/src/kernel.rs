@@ -1,8 +1,8 @@
-//! Lane-packed grid-update kernels and the grid pipeline configuration.
+//! The lane-packed grid-update kernel and the grid pipeline configuration.
 //!
 //! The Bayesian grid update is the per-robot hot path: every beacon
 //! multiplies a radial constraint into a 10⁴-cell posterior. This module
-//! holds the inner loops of that update on stable Rust with no
+//! holds the inner loop of that update on stable Rust with no
 //! dependencies, no `unsafe`, and no `std::simd` — the loops are *shaped*
 //! so LLVM's auto-vectorizer turns every step, including the profile
 //! table lookup, into packed instructions (`vsqrtpd`/`vgatherqpd`/FMA on
@@ -29,7 +29,7 @@
 //! # Bit-identity contract
 //!
 //! [`radial_product_row`] computes, per cell, the exact value the scalar
-//! reference path ([`PositionGrid::apply_radial_constraint`]) computes —
+//! reference path ([`PositionGrid::apply_radial_constraint_scalar`]) computes —
 //! `cell · lerp(profile, √(dx² + dy²) / step)`. The delta table caches
 //! `fl(v[i+1] − v[i])`, the very difference the scalar path evaluates
 //! inline; in the interior the float-clamped coordinate and fraction are
@@ -40,76 +40,20 @@
 //! finite lattice coordinate — i.e. any physically representable
 //! geometry. (An infinite coordinate needs cell-to-beacon distances
 //! beyond ~1e154 m; there the scalar path propagates NaN while the lane
-//! kernel clamps.) That is what lets [`GridKernel::Simd`] be the default
-//! while pinned-seed golden traces stay byte-identical.
+//! kernel clamps.) That is why the lane kernel is the only dense update
+//! the simulation runs, with pinned-seed golden traces unchanged, while
+//! the scalar path serves only as the test and benchmark oracle.
 //!
-//! The f32 kernel trades that contract for twice the lane width: distances
-//! and interpolation run in f32 and only the posterior multiply widens
-//! back to f64. Its per-cell error is bounded by [`F32_KERNEL_REL_BOUND`]
-//! (pinned by proptest) relative to the profile's peak value.
-//!
-//! [`PositionGrid::apply_radial_constraint`]: crate::grid::PositionGrid::apply_radial_constraint
+//! [`PositionGrid::apply_radial_constraint_scalar`]: crate::grid::PositionGrid::apply_radial_constraint_scalar
 
-use cocoa_net::calibration::{LaneTable, LaneTable32};
+use cocoa_net::calibration::LaneTable;
 use serde::{Deserialize, Serialize};
 
-/// How the radial constraint inner loop is executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum GridKernel {
-    /// The reference two-stage scalar loop (pre-refactor behaviour).
-    Scalar,
-    /// The hand-unrolled lane-packed kernel (bit-identical in f64).
-    #[default]
-    Simd,
-}
-
-impl std::fmt::Display for GridKernel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            GridKernel::Scalar => "scalar",
-            GridKernel::Simd => "simd",
-        })
-    }
-}
-
-/// Arithmetic width of the lane-packed kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum GridPrecision {
-    /// Full f64 lanes — bit-identical to the scalar reference path.
-    #[default]
-    F64,
-    /// f32 lanes (twice the width); posterior cells stay f64. Per-cell
-    /// error is bounded by [`F32_KERNEL_REL_BOUND`] × the profile's peak.
-    F32,
-}
-
-impl std::fmt::Display for GridPrecision {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            GridPrecision::F64 => "f64",
-            GridPrecision::F32 => "f32",
-        })
-    }
-}
-
-/// Documented per-cell error bound of the f32 kernel, relative to the
-/// profile's maximum sample value (pinned by the
-/// `f32_kernel_within_documented_bound` proptest).
-pub const F32_KERNEL_REL_BOUND: f64 = 5e-4;
-
-/// The complete grid-update pipeline selection: kernel, precision, beacon
-/// fusion and adaptive resolution. Lives on the `Scenario` and is plumbed
-/// into every Bayesian estimator; [`GridPipeline::default`] reproduces the
-/// pre-pipeline behaviour bit for bit.
+/// The grid-update pipeline selection: the dense lane-kernel grid, or
+/// adaptive resolution. Lives on the `Scenario` and is plumbed into every
+/// Bayesian estimator; [`GridPipeline::default`] is the dense grid.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GridPipeline {
-    /// Inner-loop implementation.
-    pub kernel: GridKernel,
-    /// Lane arithmetic width.
-    pub precision: GridPrecision,
-    /// Batch every beacon of a transmit window into one pass over the
-    /// posterior (one renormalize per window instead of one per beacon).
-    pub fused: bool,
     /// Maintain the posterior at coarse resolution and refine only tiles
     /// holding appreciable mass (see `AdaptiveGrid`).
     pub adaptive: bool,
@@ -125,9 +69,6 @@ pub struct GridPipeline {
 impl Default for GridPipeline {
     fn default() -> Self {
         GridPipeline {
-            kernel: GridKernel::Simd,
-            precision: GridPrecision::F64,
-            fused: false,
             adaptive: false,
             adaptive_coarse_factor: 4,
             adaptive_refine_factor: 2.0,
@@ -154,16 +95,13 @@ impl GridPipeline {
         Ok(())
     }
 
-    /// Short name of the active kernel variant, for telemetry counters.
+    /// Short name of the active pipeline, matching its `grid.kernel.*`
+    /// telemetry counter.
     pub fn variant_name(&self) -> &'static str {
         if self.adaptive {
             "adaptive"
         } else {
-            match (self.kernel, self.precision) {
-                (GridKernel::Scalar, _) => "scalar",
-                (GridKernel::Simd, GridPrecision::F64) => "simd",
-                (GridKernel::Simd, GridPrecision::F32) => "simd_f32",
-            }
+            "simd"
         }
     }
 }
@@ -173,12 +111,9 @@ impl GridPipeline {
 /// are exactly `tf`.
 const P52: f64 = 4503599627370496.0;
 
-/// 2²³ — the f32 counterpart of [`P52`].
-const P23: f32 = 8388608.0;
-
 /// Scalar linear interpolation into a [`LaneTable`] at the pre-scaled
 /// lattice coordinate `t = d / step` — the reference expression the lane
-/// kernels reproduce, and the lookup the adaptive grid uses for scattered
+/// kernel reproduces, and the lookup the adaptive grid uses for scattered
 /// (non-row) evaluations. Clamping is an index `min`; the zero sentinel
 /// delta makes clamped lookups return the final sample exactly.
 #[inline]
@@ -224,103 +159,6 @@ pub fn radial_product_row(
         let tf = t.trunc();
         let j = ((tf + P52).to_bits() as usize) & mask;
         *o = c * (val[j] + del[j] * (t - tf));
-    }
-}
-
-/// One grid row of the radial update with f32 lane arithmetic (twice the
-/// lanes of the f64 kernel): distances, scaling and interpolation run in
-/// f32; only the final posterior multiply widens to f64.
-///
-/// # Panics
-///
-/// Panics if `cells` or `dx2` are shorter than `out`.
-#[inline(never)]
-pub fn radial_product_row_f32(
-    out: &mut [f64],
-    cells: &[f64],
-    dx2: &[f32],
-    dy2: f32,
-    inv_step: f32,
-    table: &LaneTable32,
-) {
-    let n = out.len();
-    let cells = &cells[..n];
-    let dx2 = &dx2[..n];
-    let val = table.val();
-    let del = table.del();
-    let lastf = table.lastf();
-    assert!(val.len().is_power_of_two());
-    assert_eq!(val.len(), del.len());
-    let mask = val.len() - 1;
-    for ((o, &c), &d) in out.iter_mut().zip(cells).zip(dx2) {
-        let t = ((d + dy2).sqrt() * inv_step).min(lastf);
-        let tf = t.trunc();
-        let j = ((tf + P23).to_bits() as usize) & mask;
-        let w = val[j] + del[j] * (t - tf);
-        *o = c * f64::from(w);
-    }
-}
-
-/// One grid row of a *fused* radial update: multiplies one beacon's
-/// constraint into an already-initialized scratch row
-/// (`out[i] *= lerp(table, √(dx2[i] + dy2) · inv_step)`). The fused window
-/// pass seeds scratch with the posterior once, then folds every beacon of
-/// the window through this kernel row by row — the posterior itself is
-/// loaded and stored once per window.
-///
-/// # Panics
-///
-/// Panics if `dx2` is shorter than `out`.
-#[inline(never)]
-pub fn radial_product_row_mul(
-    out: &mut [f64],
-    dx2: &[f64],
-    dy2: f64,
-    inv_step: f64,
-    table: &LaneTable,
-) {
-    let n = out.len();
-    let dx2 = &dx2[..n];
-    let val = table.val();
-    let del = table.del();
-    let lastf = table.lastf();
-    assert!(val.len().is_power_of_two());
-    assert_eq!(val.len(), del.len());
-    let mask = val.len() - 1;
-    for (o, &d) in out.iter_mut().zip(dx2) {
-        let t = ((d + dy2).sqrt() * inv_step).min(lastf);
-        let tf = t.trunc();
-        let j = ((tf + P52).to_bits() as usize) & mask;
-        *o *= val[j] + del[j] * (t - tf);
-    }
-}
-
-/// f32 fold step of the fused path: `out[i] *= widen(lerp32(...))`.
-///
-/// # Panics
-///
-/// Panics if `dx2` is shorter than `out`.
-#[inline(never)]
-pub fn radial_product_row_mul_f32(
-    out: &mut [f64],
-    dx2: &[f32],
-    dy2: f32,
-    inv_step: f32,
-    table: &LaneTable32,
-) {
-    let n = out.len();
-    let dx2 = &dx2[..n];
-    let val = table.val();
-    let del = table.del();
-    let lastf = table.lastf();
-    assert!(val.len().is_power_of_two());
-    assert_eq!(val.len(), del.len());
-    let mask = val.len() - 1;
-    for (o, &d) in out.iter_mut().zip(dx2) {
-        let t = ((d + dy2).sqrt() * inv_step).min(lastf);
-        let tf = t.trunc();
-        let j = ((tf + P23).to_bits() as usize) & mask;
-        *o *= f64::from(val[j] + del[j] * (t - tf));
     }
 }
 
@@ -381,59 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn mul_kernel_composes_like_two_products() {
-        let values: Vec<f64> = (0..32).map(|k| 1.0 / (k as f64 + 1.0)).collect();
-        let table = LaneTable::from_values(&values);
-        let inv_step = 2.0;
-        let n = 10;
-        let cells = vec![0.01; n];
-        let dx2: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        let mut a = vec![0.0; n];
-        radial_product_row(&mut a, &cells, &dx2, 1.0, inv_step, &table);
-        radial_product_row_mul(&mut a, &dx2, 4.0, inv_step, &table);
-        for i in 0..n {
-            let w1 = a[i] / cells[i];
-            let direct = lerp_table(&table, (dx2[i] + 1.0).sqrt() * inv_step)
-                * lerp_table(&table, (dx2[i] + 4.0).sqrt() * inv_step);
-            assert!((w1 - direct).abs() <= 1e-15 * direct.abs() + f64::MIN_POSITIVE);
-        }
-    }
-
-    #[test]
-    fn f32_kernel_tracks_f64_within_bound() {
-        let values: Vec<f64> = (0..128)
-            .map(|k| (-(k as f64) * 0.07).exp() + 1e-6)
-            .collect();
-        let table64 = LaneTable::from_values(&values);
-        let table32 = LaneTable32::from_values(&values);
-        let n = 23;
-        let cells = vec![1.0 / n as f64; n];
-        let dx2: Vec<f64> = (0..n).map(|i| (i as f64 * 2.3 - 20.0).powi(2)).collect();
-        let dx2f: Vec<f32> = dx2.iter().map(|&v| v as f32).collect();
-        let (dy2, step) = (30.0f64, 0.4f64);
-        let mut a = vec![0.0; n];
-        let mut b = vec![0.0; n];
-        radial_product_row(&mut a, &cells, &dx2, dy2, 1.0 / step, &table64);
-        radial_product_row_f32(
-            &mut b,
-            &cells,
-            &dx2f,
-            dy2 as f32,
-            (1.0 / step) as f32,
-            &table32,
-        );
-        let peak = values.iter().cloned().fold(0.0f64, f64::max) / n as f64;
-        for i in 0..n {
-            assert!(
-                (a[i] - b[i]).abs() <= F32_KERNEL_REL_BOUND * peak,
-                "cell {i}: f64 {} vs f32 {}",
-                a[i],
-                b[i]
-            );
-        }
-    }
-
-    #[test]
     fn pipeline_validation() {
         let ok = GridPipeline::default();
         assert!(ok.validate().is_ok());
@@ -444,23 +229,8 @@ mod tests {
         let mut bad = ok;
         bad.adaptive_refine_factor = 1.0;
         assert!(bad.validate().is_err());
-        let mut f32v = ok;
-        f32v.precision = GridPrecision::F32;
-        assert_eq!(f32v.variant_name(), "simd_f32");
         let mut ad = ok;
         ad.adaptive = true;
         assert_eq!(ad.variant_name(), "adaptive");
-        assert_eq!(
-            GridPipeline {
-                kernel: GridKernel::Scalar,
-                ..ok
-            }
-            .variant_name(),
-            "scalar"
-        );
-        assert_eq!(
-            format!("{} {}", GridKernel::Simd, GridPrecision::F32),
-            "simd f32"
-        );
     }
 }

@@ -43,6 +43,6 @@ pub mod prelude {
         EstimatorMode, RfAlgorithm, WindowOutcome, WindowStats, WindowedRfEstimator,
     };
     pub use crate::grid::{ConstraintOutcome, GridConfig, PositionGrid};
-    pub use crate::kernel::{GridKernel, GridPipeline, GridPrecision};
+    pub use crate::kernel::GridPipeline;
     pub use crate::multilateration::{MultilaterationConfig, Multilaterator, RangeObservation};
 }

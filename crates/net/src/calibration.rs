@@ -284,7 +284,7 @@ impl PdfTable {
 /// `val[k] = values[k]` and `del[k] = fl(values[k+1] − values[k])` — the
 /// very difference the scalar interpolation evaluates inline — with
 /// `del[last] = 0` as a branch-free clamp sentinel. Both arrays are padded
-/// (with the last value / zero) to the next power of two: the kernels
+/// (with the last value / zero) to the next power of two: the kernel
 /// index with `bits & (len − 1)`, which the optimizer can prove in-bounds
 /// without per-lane checks, and the index itself never exceeds `last`
 /// because the lattice coordinate is clamped in the float domain first.
@@ -343,55 +343,6 @@ impl LaneTable {
     }
 }
 
-/// f32 counterpart of [`LaneTable`]: samples and deltas narrowed from the
-/// f64 lattice (`del[k] = fl32(fl64(values[k+1] − values[k]))`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct LaneTable32 {
-    val: Vec<f32>,
-    del: Vec<f32>,
-    lastf: f32,
-}
-
-impl LaneTable32 {
-    /// Builds the padded f32 table from f64 lattice samples (non-empty).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` is empty.
-    pub fn from_values(values: &[f64]) -> Self {
-        assert!(!values.is_empty(), "lane table needs at least one sample");
-        let n = values.len();
-        let pad = n.next_power_of_two();
-        let mut val: Vec<f32> = values.iter().map(|&v| v as f32).collect();
-        val.resize(pad, values[n - 1] as f32);
-        let mut del: Vec<f32> = values.windows(2).map(|w| (w[1] - w[0]) as f32).collect();
-        del.resize(pad, 0.0);
-        LaneTable32 {
-            val,
-            del,
-            lastf: (n - 1) as f32,
-        }
-    }
-
-    /// Sample values, padded with the final sample.
-    #[inline]
-    pub fn val(&self) -> &[f32] {
-        &self.val
-    }
-
-    /// Forward differences with zero sentinel/padding.
-    #[inline]
-    pub fn del(&self) -> &[f32] {
-        &self.del
-    }
-
-    /// The last real sample index as a float.
-    #[inline]
-    pub fn lastf(&self) -> f32 {
-        self.lastf
-    }
-}
-
 /// A 1-D radial density profile: `f(d)` pre-sampled on a uniform distance
 /// lattice, evaluated by linear interpolation.
 ///
@@ -412,9 +363,6 @@ pub struct RadialProfile {
     /// kernel (see [`LaneTable`]).
     #[serde(skip)]
     lane64: OnceLock<LaneTable>,
-    /// f32 lane table for the half-precision kernel variant.
-    #[serde(skip)]
-    lane32: OnceLock<LaneTable32>,
 }
 
 // Derived caches carry no state of their own: profiles are equal iff their
@@ -447,7 +395,6 @@ impl RadialProfile {
             inv_step: 1.0 / step,
             values,
             lane64: OnceLock::new(),
-            lane32: OnceLock::new(),
         }
     }
 
@@ -491,9 +438,8 @@ impl RadialProfile {
         for v in &mut self.values {
             *v += floor;
         }
-        // The samples changed; drop any derived interpolation tables.
+        // The samples changed; drop the derived interpolation table.
         self.lane64 = OnceLock::new();
-        self.lane32 = OnceLock::new();
         self
     }
 
@@ -502,19 +448,6 @@ impl RadialProfile {
     pub fn lane_table(&self) -> &LaneTable {
         self.lane64
             .get_or_init(|| LaneTable::from_values(&self.values))
-    }
-
-    /// The f32 lane table for the half-precision kernel variant, narrowed
-    /// from the f64 lattice on first use and cached.
-    pub fn lane_table_f32(&self) -> &LaneTable32 {
-        self.lane32
-            .get_or_init(|| LaneTable32::from_values(&self.values))
-    }
-
-    /// `1 / step` narrowed to f32 for the half-precision kernel.
-    #[inline]
-    pub fn inv_step_f32(&self) -> f32 {
-        self.inv_step as f32
     }
 
     /// Distance between lattice points, metres.
@@ -587,24 +520,6 @@ impl RadialConstraintTable {
     pub fn lookup(&self, rssi: Dbm) -> Option<&RadialProfile> {
         nearest_present_bin(rssi, |k| self.get(RssiBin(k)).is_some())
             .and_then(|k| self.get(RssiBin(k)))
-    }
-
-    /// Resolves an observed RSSI to the bin that would serve it (same
-    /// fallback rule as [`lookup`](Self::lookup)), without borrowing the
-    /// profile — the fused grid path records resolved bins at observe time
-    /// and fetches the profiles in one batch at window end.
-    pub fn resolve(&self, rssi: Dbm) -> Option<RssiBin> {
-        nearest_present_bin(rssi, |k| self.get(RssiBin(k)).is_some()).map(RssiBin)
-    }
-
-    /// Batch lookup for a fused multi-beacon window: maps each resolved bin
-    /// to its profile, preserving order and skipping bins that (can only
-    /// under table rebuilds) no longer resolve.
-    pub fn profiles_for<'a>(
-        &'a self,
-        bins: impl IntoIterator<Item = RssiBin> + 'a,
-    ) -> impl Iterator<Item = &'a RadialProfile> + 'a {
-        bins.into_iter().filter_map(|b| self.get(b))
     }
 
     /// Number of cached profiles.

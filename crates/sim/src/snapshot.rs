@@ -57,8 +57,11 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"CSNP";
 /// section's bytes changes; readers reject other versions outright rather
 /// than guessing. (v3: the telemetry section gained deterministic
 /// histogram state after the counters vector. v4: the estimator section
-/// became backend-tagged — Bayes, multilateration, or EKF payloads.)
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 4;
+/// became backend-tagged — Bayes, multilateration, or EKF payloads. v5:
+/// the scenario's grid pipeline dropped its kernel, precision and fused
+/// fields, and the Bayes payload its pending-beacon list and the matching
+/// grid counters.)
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 5;
 
 /// A typed decode failure. Corrupted input surfaces here — never a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
