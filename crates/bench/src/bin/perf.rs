@@ -1,6 +1,7 @@
-//! Performance smoke benchmark: times the localization hot kernels and a
-//! quick-scale Figure 7 run, prints a summary, and writes the numbers to
-//! `BENCH_grid.json` for CI to archive.
+//! Performance smoke benchmark: times the localization hot kernels, a
+//! quick-scale Figure 7 run and the paper-scale `cocoa-run` default run,
+//! prints a summary, and writes the numbers to `BENCH_*.json` for CI to
+//! archive.
 //!
 //! ```sh
 //! cargo run --release -p cocoa-bench --bin perf
@@ -9,8 +10,9 @@
 //! Unlike the Criterion microbenchmarks this is a single fast pass (a few
 //! seconds end to end), intended as a regression tripwire: the JSON records
 //! ops/s for the naive and radial Bayesian grid updates (and their ratio),
-//! the dense and probing PDF-table lookups, and the wall time of the
-//! quick-scale Figure 7 comparison.
+//! the dense and probing PDF-table lookups, the wall time of the
+//! quick-scale Figure 7 comparison, and (`BENCH_e2e.json`) the wall time of
+//! the `cocoa-run` default scenario at telemetry `off` and `counters`.
 //!
 //! The tripwire is armed by the regression gate
 //! (see [`cocoa_bench::regress`]):
@@ -33,7 +35,8 @@ use cocoa_core::experiment::{
     ablation_estimator, fig7_comparison, fig9_scenarios, ExperimentScale,
 };
 use cocoa_core::metrics::RunMetrics;
-use cocoa_core::runner::{run, WarmArtifacts};
+use cocoa_core::runner::{run, run_with_telemetry, WarmArtifacts};
+use cocoa_core::scenario::Scenario;
 use cocoa_core::serve::{client, ServeConfig, Server};
 use cocoa_localization::adaptive::AdaptiveGrid;
 use cocoa_localization::bayes::{radial_constraints_for_grid, BayesianLocalizer};
@@ -43,7 +46,7 @@ use cocoa_net::channel::RfChannel;
 use cocoa_net::geometry::{Area, Point};
 use cocoa_net::rssi::Dbm;
 use cocoa_sim::rng::SeedSplitter;
-use cocoa_sim::telemetry::Telemetry;
+use cocoa_sim::telemetry::{Telemetry, TelemetryLevel};
 use cocoa_sim::time::SimDuration;
 
 /// Runs `f` repeatedly until at least ~200 ms have elapsed (after one
@@ -362,6 +365,29 @@ fn main() -> ExitCode {
     );
     drop(server);
 
+    // End to end: the `cocoa-run` default scenario (50 robots, 1800 s,
+    // T = 100 s), best of 3, at telemetry off and at `counters`. No kernel
+    // microbenchmark sees a cost that sits outside the kernels, so the
+    // whole run is timed too. Observation must not change the run.
+    let e2e_scenario = Scenario::builder().build();
+    let e2e_best_of_3 = |level: TelemetryLevel| -> (f64, RunMetrics) {
+        let mut best = f64::INFINITY;
+        let mut metrics = None;
+        for _ in 0..3 {
+            let t0 = Instant::now();
+            let (m, _) = run_with_telemetry(&e2e_scenario, Telemetry::new(level));
+            best = best.min(t0.elapsed().as_secs_f64());
+            metrics = Some(m);
+        }
+        (best, metrics.expect("three runs"))
+    };
+    let (e2e_default_secs, e2e_off) = e2e_best_of_3(TelemetryLevel::Off);
+    let (e2e_counters_secs, e2e_counters) = e2e_best_of_3(TelemetryLevel::Counters);
+    assert_eq!(
+        e2e_off, e2e_counters,
+        "counters telemetry perturbed the run"
+    );
+
     println!("grid update (naive):   {}", fmt_ops(grid_naive));
     println!(
         "grid update (radial):  {}  ({speedup:.1}x)",
@@ -399,6 +425,10 @@ fn main() -> ExitCode {
     println!(
         "serve round trip:      cold {serve_cold_secs:.3} s, cached {serve_cached_secs:.4} s \
          ({serve_cache_speedup:.0}x), warm fork {serve_warm_secs:.3} s"
+    );
+    println!(
+        "cocoa-run defaults:    {e2e_default_secs:.2} s off, \
+         {e2e_counters_secs:.2} s counters (best of 3)"
     );
 
     let json = format!(
@@ -463,6 +493,13 @@ fn main() -> ExitCode {
     );
     std::fs::write("BENCH_serve.json", &serve_json).expect("write BENCH_serve.json");
     println!("wrote BENCH_serve.json");
+
+    let e2e_json = format!(
+        "{{\n  \"e2e_default_wall_secs\": {e2e_default_secs:.3},\n  \
+         \"e2e_counters_wall_secs\": {e2e_counters_secs:.3}\n}}\n"
+    );
+    std::fs::write("BENCH_e2e.json", &e2e_json).expect("write BENCH_e2e.json");
+    println!("wrote BENCH_e2e.json");
 
     if do_record {
         let current = match regress::load_current(Path::new(".")) {

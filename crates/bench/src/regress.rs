@@ -1,7 +1,8 @@
 //! Noise-aware performance-regression gate over BENCH snapshots.
 //!
 //! The `perf` binary writes flat-JSON metric snapshots (`BENCH_grid.json`,
-//! `BENCH_snapshot.json`). This module turns a ring of such snapshots under
+//! `BENCH_snapshot.json`, `BENCH_estimator.json`, `BENCH_serve.json`,
+//! `BENCH_e2e.json`). This module turns a ring of such snapshots under
 //! `bench/history/` into a regression gate:
 //!
 //! - `perf --record` merges the freshly written BENCH files into one history
@@ -117,6 +118,10 @@ pub const SPECS: &[MetricSpec] = &[
     // Byte-identical cold vs cached bodies is an invariant, like
     // `bit_identical` above.
     spec("serve_bit_identical", HigherIsBetter, 0.0),
+    // --- BENCH_e2e.json: the `cocoa-run` default scenario end to end,
+    // at telemetry off and at `counters` (best of 3 each).
+    spec("e2e_default_wall_secs", LowerIsBetter, 1.0),
+    spec("e2e_counters_wall_secs", LowerIsBetter, 1.0),
 ];
 
 const fn spec(key: &'static str, direction: Direction, tolerance: f64) -> MetricSpec {
@@ -174,6 +179,7 @@ pub fn load_current(dir: &Path) -> Result<Metrics, String> {
         "BENCH_snapshot.json",
         "BENCH_estimator.json",
         "BENCH_serve.json",
+        "BENCH_e2e.json",
     ] {
         let path = dir.join(name);
         let Ok(text) = fs::read_to_string(&path) else {

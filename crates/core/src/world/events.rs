@@ -86,6 +86,9 @@ pub(crate) struct SpanIds {
     pub(crate) event_fault: SpanId,
     pub(crate) grid_update: SpanId,
     pub(crate) grid_fix: SpanId,
+    /// Posterior-entropy computation on a metrics tick, so its cost never
+    /// hides under `event.metrics_sample`.
+    pub(crate) grid_entropy: SpanId,
     pub(crate) channel_sample: SpanId,
     /// Channel scan for mesh JOIN REPLY transmissions. Distinct from
     /// `channel_sample` so each scan attributes to the event category
@@ -154,6 +157,7 @@ impl SpanIds {
             event_fault: t.span_id("event.fault"),
             grid_update: t.span_id("grid.update"),
             grid_fix: t.span_id("grid.fix"),
+            grid_entropy: t.span_id("grid.entropy"),
             channel_sample: t.span_id("channel.sample"),
             channel_sample_reply: t.span_id("channel.sample_reply"),
             channel_sample_rebroadcast: t.span_id("channel.sample_rebroadcast"),

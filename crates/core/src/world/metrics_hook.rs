@@ -19,6 +19,12 @@ use super::WorldState;
 pub(crate) fn metrics_sample(engine: &mut Engine<Event>, world: &mut WorldState, now: SimTime) {
     let mode = world.mode();
     let area = world.scenario.area;
+    // Per-robot timelines ride the metrics tick (no extra engine
+    // events, so `events_processed` is telemetry-invariant) but
+    // thin out to the configured sampling interval.
+    let sample_due =
+        world.telemetry.wants_events() && world.next_robot_sample.is_none_or(|t| now >= t);
+    let entropy_fracs = entropy_pass(world, sample_due);
     let mut sum = 0.0;
     let mut n = 0usize;
     for r in &world.robots {
@@ -27,11 +33,6 @@ pub(crate) fn metrics_sample(engine: &mut Engine<Event>, world: &mut WorldState,
             world.telemetry.hist_record(world.hists.robot_error, err);
             sum += err;
             n += 1;
-        }
-        if r.alive {
-            if let Some(frac) = r.rf.as_ref().and_then(|rf| rf.entropy_fraction()) {
-                world.telemetry.hist_record(world.hists.entropy_frac, frac);
-            }
         }
     }
     world
@@ -65,39 +66,64 @@ pub(crate) fn metrics_sample(engine: &mut Engine<Event>, world: &mut WorldState,
             );
         }
     }
-    // Per-robot timelines ride the metrics tick (no extra engine
-    // events, so `events_processed` is telemetry-invariant) but
-    // thin out to the configured sampling interval.
-    if world.telemetry.wants_events() {
-        let due = world.next_robot_sample.is_none_or(|t| now >= t);
-        if due {
-            let interval = world
-                .telemetry
-                .sample_interval()
-                .unwrap_or(world.scenario.metrics_interval);
-            world.next_robot_sample = Some(now + interval);
-            for (i, r) in world.robots.iter().enumerate() {
-                let true_pos = r.motion.true_position();
-                let est = r.estimate(mode, &area);
-                world.telemetry.emit(
-                    now,
-                    TelemetryEvent::RobotSample {
-                        robot: i as u32,
-                        true_x_m: true_pos.x,
-                        true_y_m: true_pos.y,
-                        est_x_m: est.x,
-                        est_y_m: est.y,
-                        err_m: r.localization_error(mode, &area),
-                        entropy_frac: r.rf.as_ref().and_then(|rf| rf.entropy_fraction()),
-                        energy_j: r.radio.peek_ledger(now).total_j(),
-                        radio: r.radio.state().as_str(),
-                        health: r.health.state().as_str(),
-                    },
-                );
-            }
+    if sample_due {
+        let interval = world
+            .telemetry
+            .sample_interval()
+            .unwrap_or(world.scenario.metrics_interval);
+        world.next_robot_sample = Some(now + interval);
+        for (i, r) in world.robots.iter().enumerate() {
+            let true_pos = r.motion.true_position();
+            let est = r.estimate(mode, &area);
+            world.telemetry.emit(
+                now,
+                TelemetryEvent::RobotSample {
+                    robot: i as u32,
+                    true_x_m: true_pos.x,
+                    true_y_m: true_pos.y,
+                    est_x_m: est.x,
+                    est_y_m: est.y,
+                    err_m: r.localization_error(mode, &area),
+                    entropy_frac: entropy_fracs[i],
+                    energy_j: r.radio.peek_ledger(now).total_j(),
+                    radio: r.radio.state().as_str(),
+                    health: r.health.state().as_str(),
+                },
+            );
         }
     }
     engine.schedule_in(world.scenario.metrics_interval, Event::MetricsSample);
+}
+
+/// Computes this tick's posterior entropy fractions under the
+/// `grid.entropy` span, only for the consumers that record them: the
+/// `run.entropy_frac` histogram (live robots, when histograms record) and
+/// a due timeline sample (every robot). Each robot's value is computed at
+/// most once. Returns the per-robot values when a sample is due, else an
+/// empty list.
+fn entropy_pass(world: &mut WorldState, sample_due: bool) -> Vec<Option<f64>> {
+    let record = world.telemetry.records_histograms();
+    if !record && !sample_due {
+        return Vec::new();
+    }
+    let span = world.telemetry.span_start();
+    let mut fracs = Vec::with_capacity(if sample_due { world.robots.len() } else { 0 });
+    for r in &world.robots {
+        let histogram = record && r.alive;
+        let frac = if histogram || sample_due {
+            r.rf.as_ref().and_then(|rf| rf.entropy_fraction())
+        } else {
+            None
+        };
+        if let Some(f) = frac.filter(|_| histogram) {
+            world.telemetry.hist_record(world.hists.entropy_frac, f);
+        }
+        if sample_due {
+            fracs.push(frac);
+        }
+    }
+    world.telemetry.span_end(world.spans.grid_entropy, span);
+    fracs
 }
 
 /// Records the per-robot error snapshot at `index` (Fig. 8 CDFs).

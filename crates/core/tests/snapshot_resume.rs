@@ -193,6 +193,44 @@ fn resume_restores_histogram_state_bit_identically() {
 }
 
 #[test]
+fn entropy_queries_leave_no_trace_in_the_snapshot() {
+    // The posterior-entropy memo is derived data, not state. At
+    // `Counters` the metrics tick queries every live RF robot's entropy
+    // (and the window watchdog queries it at each window end), so a
+    // capture right after a tick holds filled memos. A resumed run
+    // restores its posteriors with empty memos; capturing it again at
+    // once must give the same bytes.
+    let at = SimTime::ZERO + SimDuration::from_secs(25);
+    let pipelines = [
+        GridPipeline::default(),
+        GridPipeline {
+            adaptive: true,
+            ..GridPipeline::default()
+        },
+    ];
+    for pipeline in pipelines {
+        let mut s = scenario(42, MulticastProtocol::Mrmm, "sync-crash");
+        s.grid_pipeline = pipeline;
+        s.validate().expect("pipeline scenario must validate");
+        let mut queried = SimRun::new(&s, Telemetry::new(TelemetryLevel::Counters));
+        queried.run_until(at);
+        let bytes = queried.capture();
+        let mut unqueried = SimRun::resume(&bytes).expect("own snapshot must restore");
+        assert!(
+            unqueried.capture() == bytes,
+            "{}: an entropy query changed the snapshot bytes",
+            pipeline.variant_name()
+        );
+        let (_, t) = queried.finish();
+        let entropy = t
+            .histograms()
+            .get("run.entropy_frac")
+            .expect("registered histogram");
+        assert!(entropy.count() > 0, "the run must have queried entropy");
+    }
+}
+
+#[test]
 fn marked_resume_counts_and_announces_the_restore() {
     let s = scenario(42, MulticastProtocol::Flood, "sync-crash");
     let mut first = SimRun::new(&s, Telemetry::new(TelemetryLevel::Full));

@@ -124,8 +124,20 @@ fn folded_stacks_conserve_span_profiler_totals_exactly() {
     let (_, t) = run_with_telemetry(&scenario(42), Telemetry::new(TelemetryLevel::Full));
     let report = t.spans().report();
     assert!(!report.is_empty(), "a full-telemetry run must record spans");
+    // The entropy statistic has its own span, so its cost cannot hide
+    // under the metrics tick.
+    let entropy = report
+        .iter()
+        .find(|s| s.name == "grid.entropy")
+        .expect("a full run records grid.entropy");
+    assert!(entropy.count > 0);
     let totals: Vec<(&str, u128)> = report.iter().map(|s| (s.name, s.total_ns)).collect();
     let folded = fold_spans(&totals);
+    assert!(
+        folded.iter().any(|(stack, _)| stack
+            == "run.total;run.event_loop;event.metrics_sample;grid.entropy"),
+        "grid.entropy must fold under event.metrics_sample: {folded:?}"
+    );
     // Per-span conservation: a span's profiler total equals its folded
     // self time plus the folded lines of all stacks nesting under it.
     for stat in &report {

@@ -7,6 +7,8 @@
 //! incorporated, the posterior mean (Eq. 3) is reported as the position
 //! estimate.
 
+use std::cell::Cell;
+
 use serde::{Deserialize, Serialize};
 
 use cocoa_net::calibration::{PdfTable, RadialConstraintTable};
@@ -90,6 +92,23 @@ pub struct BayesianLocalizer {
     beacons_applied: u32,
     beacons_seen: u32,
     stats: GridStats,
+    /// [`entropy`](Self::entropy) of the current posterior version, once
+    /// asked for. Derived data, not state: dropped by every posterior
+    /// mutation and ignored by equality and checkpoints.
+    #[serde(skip)]
+    entropy_memo: EntropyMemo,
+}
+
+/// A lazily filled cache of one posterior's entropy. Equal to every other
+/// memo, so a queried localizer still compares equal to its unqueried
+/// twin.
+#[derive(Debug, Clone, Default)]
+struct EntropyMemo(Cell<Option<f64>>);
+
+impl PartialEq for EntropyMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
 }
 
 /// The posterior representation behind the localizer: the dense grid, or
@@ -154,6 +173,7 @@ impl BayesianLocalizer {
             beacons_applied: 0,
             beacons_seen: 0,
             stats: GridStats::default(),
+            entropy_memo: EntropyMemo::default(),
         }
     }
 
@@ -172,8 +192,16 @@ impl BayesianLocalizer {
         &self.posterior
     }
 
+    /// The one way to mutate the posterior: hands it out together with
+    /// the kernel accounting and drops the entropy memo, which described
+    /// the version about to change.
+    fn posterior_mut(&mut self) -> (&mut Posterior, &mut GridStats) {
+        self.entropy_memo.0.set(None);
+        (&mut self.posterior, &mut self.stats)
+    }
+
     fn dense_mut(&mut self) -> &mut PositionGrid {
-        match &mut self.posterior {
+        match self.posterior_mut().0 {
             Posterior::Dense(g) => g,
             Posterior::Adaptive(_) => {
                 panic!("operation requires the dense grid (adaptive pipeline active)")
@@ -222,17 +250,18 @@ impl BayesianLocalizer {
         let Some(profile) = radial.lookup(rssi) else {
             return ObservationResult::NoPdf;
         };
-        let outcome = match &mut self.posterior {
+        let (posterior, stats) = self.posterior_mut();
+        let outcome = match posterior {
             Posterior::Dense(grid) => {
-                self.stats.kernel_simd += 1;
-                self.stats.cells_touched += grid.num_cells() as u64;
+                stats.kernel_simd += 1;
+                stats.cells_touched += grid.num_cells() as u64;
                 grid.apply_radial_constraint(beacon_pos, profile)
             }
             Posterior::Adaptive(grid) => {
                 let (outcome, op) = grid.apply_radial_constraint(beacon_pos, profile);
-                self.stats.kernel_adaptive += 1;
-                self.stats.cells_touched += op.cells_touched;
-                self.stats.cells_refined += op.cells_refined;
+                stats.kernel_adaptive += 1;
+                stats.cells_touched += op.cells_touched;
+                stats.cells_refined += op.cells_refined;
                 outcome
             }
         };
@@ -274,11 +303,21 @@ impl BayesianLocalizer {
 
     /// Posterior entropy, nats (confidence proxy; exposed for the relay-
     /// beaconing extension's goodness guard).
+    ///
+    /// Memoized per posterior version: the first query after a mutation
+    /// scans the grid, later ones return the same bits for free. The
+    /// posterior only changes inside transmit windows, so the end-of-window
+    /// watchdog query serves every metrics tick until the next window.
     pub fn entropy(&self) -> f64 {
-        match &self.posterior {
+        if let Some(h) = self.entropy_memo.0.get() {
+            return h;
+        }
+        let h = match &self.posterior {
             Posterior::Dense(g) => g.entropy(),
             Posterior::Adaptive(g) => g.entropy(),
-        }
+        };
+        self.entropy_memo.0.set(Some(h));
+        h
     }
 
     /// The entropy of the uniform prior over this grid, nats — the ceiling
@@ -293,7 +332,7 @@ impl BayesianLocalizer {
     /// Resets to the uniform prior — the paper's robots "throw away their
     /// currently estimated positions" at each transmit period.
     pub fn reset(&mut self) {
-        match &mut self.posterior {
+        match self.posterior_mut().0 {
             Posterior::Dense(g) => g.reset_uniform(),
             Posterior::Adaptive(g) => g.reset_uniform(),
         }
@@ -351,7 +390,7 @@ impl BayesianLocalizer {
     ///
     /// Panics if the adaptive pipeline is not active or the layout differs.
     pub fn restore_posterior_tiles(&mut self, tiles: Vec<Tile>) {
-        match &mut self.posterior {
+        match self.posterior_mut().0 {
             Posterior::Adaptive(g) => g.restore_tiles(tiles),
             Posterior::Dense(_) => panic!("tile restore requires the adaptive posterior"),
         }

@@ -1,8 +1,9 @@
-//! Property-based tests for the Bayesian localization invariants, the EKF
-//! backend's covariance health, and backend checkpoint round-trips.
+//! Property-based tests for the Bayesian localization invariants, the
+//! entropy memo, the EKF backend's covariance health, and backend
+//! checkpoint round-trips.
 
 use cocoa_localization::adaptive::AdaptiveGrid;
-use cocoa_localization::bayes::{radial_constraints_for_grid, CONSTRAINT_FLOOR};
+use cocoa_localization::bayes::{radial_constraints_for_grid, Posterior, CONSTRAINT_FLOOR};
 use cocoa_localization::grid::ConstraintOutcome;
 use cocoa_localization::prelude::*;
 use cocoa_net::calibration::{calibrate, CalibrationConfig, DistancePdf, PdfTable, RadialProfile};
@@ -438,6 +439,125 @@ proptest! {
                 dense.mean().distance_to(adaptive.mean()) <= cfg.resolution_m,
                 "dense {:?} vs adaptive {:?}", dense.mean(), adaptive.mean()
             );
+        }
+    }
+}
+
+/// One step of an arbitrary localizer history for the entropy-memo test.
+#[derive(Debug, Clone, Copy)]
+enum MemoOp {
+    /// A beacon at `(x, y)` heard at `rssi` dBm, through the radial path
+    /// (or the generic closure path on a dense grid when `generic`).
+    Beacon {
+        x: f64,
+        y: f64,
+        rssi: f64,
+        generic: bool,
+    },
+    /// Ask for the entropy (fills the memo).
+    Query,
+    /// Back to the uniform prior.
+    Reset,
+    /// Remember the current posterior for a later `Restore`.
+    Save,
+    /// Restore the remembered posterior (cells or tiles).
+    Restore,
+    /// Continue with a clone (which carries the memo along).
+    Clone,
+}
+
+fn arb_beacon_op() -> impl Strategy<Value = MemoOp> {
+    (arb_in_area(), -95.0..-35.0f64, any::<bool>()).prop_map(|(p, rssi, generic)| MemoOp::Beacon {
+        x: p.x,
+        y: p.y,
+        rssi,
+        generic,
+    })
+}
+
+/// Beacons and queries listed twice: histories should mostly grow the
+/// posterior and look at it, with resets, restores and clones between.
+fn arb_memo_op() -> impl Strategy<Value = MemoOp> {
+    prop_oneof![
+        arb_beacon_op(),
+        arb_beacon_op(),
+        Just(MemoOp::Query),
+        Just(MemoOp::Query),
+        Just(MemoOp::Reset),
+        Just(MemoOp::Save),
+        Just(MemoOp::Restore),
+        Just(MemoOp::Clone),
+    ]
+}
+
+/// A fresh, unmemoized scan of the localizer's posterior.
+fn scanned_entropy(loc: &BayesianLocalizer) -> f64 {
+    match loc.posterior() {
+        Posterior::Dense(g) => g.entropy(),
+        Posterior::Adaptive(g) => g.entropy(),
+    }
+}
+
+proptest! {
+    /// The memoized entropy is the entropy of the current posterior,
+    /// bit for bit, under any interleaving of beacons, resets, restores,
+    /// clones and queries — on the dense and the adaptive posterior. The
+    /// memo is not state: a queried localizer equals its unqueried clone.
+    #[test]
+    fn entropy_memo_tracks_every_posterior_mutation(
+        ops in proptest::collection::vec(arb_memo_op(), 1..40),
+        seed in 0u64..50,
+    ) {
+        let ch = RfChannel::default();
+        let table = calibrate(
+            &ch,
+            &CalibrationConfig { samples_per_distance: 30, ..Default::default() },
+            &mut SeedSplitter::new(seed).stream("cal", 0),
+        );
+        let grid = GridConfig::new(Area::square(200.0), 4.0);
+        let radial = radial_constraints_for_grid(&table, &grid);
+        for adaptive in [false, true] {
+            let pipeline = GridPipeline { adaptive, ..GridPipeline::default() };
+            // `eager` is checked after every step; `lazy` only when the
+            // schedule queries it, so its memo may outlive several steps.
+            let mut eager = BayesianLocalizer::with_pipeline(grid, pipeline);
+            let mut lazy = eager.clone();
+            let mut saved = eager.posterior().clone();
+            for op in &ops {
+                for loc in [&mut eager, &mut lazy] {
+                    match *op {
+                        MemoOp::Beacon { x, y, rssi, generic } => {
+                            let (b, rssi) = (Point::new(x, y), Dbm::new(rssi));
+                            if generic && !adaptive {
+                                loc.observe_beacon(&table, b, rssi);
+                            } else {
+                                loc.observe_beacon_radial(&radial, b, rssi);
+                            }
+                        }
+                        MemoOp::Query => {
+                            let h = loc.entropy();
+                            prop_assert_eq!(h.to_bits(), scanned_entropy(loc).to_bits());
+                        }
+                        MemoOp::Reset => loc.reset(),
+                        MemoOp::Save => saved = loc.posterior().clone(),
+                        MemoOp::Restore => match &saved {
+                            Posterior::Dense(g) => loc.restore_posterior_cells(g.cells()),
+                            Posterior::Adaptive(g) => {
+                                loc.restore_posterior_tiles(g.tiles().to_vec());
+                            }
+                        },
+                        MemoOp::Clone => *loc = loc.clone(),
+                    }
+                }
+                let unqueried = eager.clone();
+                prop_assert_eq!(
+                    eager.entropy().to_bits(),
+                    scanned_entropy(&eager).to_bits(),
+                    "stale memo after {:?} (adaptive: {})", op, adaptive
+                );
+                prop_assert_eq!(&eager, &unqueried);
+                prop_assert_eq!(&eager, &lazy);
+            }
         }
     }
 }

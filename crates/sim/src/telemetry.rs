@@ -836,14 +836,24 @@ impl Telemetry {
         self.hists.register(name, true)
     }
 
-    /// Records a histogram sample (no-op below `Counters` or when
-    /// histograms are disabled). Recording is a branch plus four writes —
-    /// no allocation, no clock, no RNG — so it never perturbs a run.
+    /// Records a histogram sample (no-op unless
+    /// [`records_histograms`](Self::records_histograms)). Recording is a
+    /// branch plus four writes — no allocation, no clock, no RNG — so it
+    /// never perturbs a run.
     #[inline]
     pub fn hist_record(&mut self, id: HistId, x: f64) {
-        if self.hist_enabled && self.level >= TelemetryLevel::Counters {
+        if self.records_histograms() {
             self.hists.record(id, x);
         }
+    }
+
+    /// Whether [`hist_record`](Self::hist_record) keeps samples: the level
+    /// is at least `Counters` and histograms are enabled. Callers gate the
+    /// *computation* of histogram-only values on this, so a value nobody
+    /// records is never computed.
+    #[inline]
+    pub fn records_histograms(&self) -> bool {
+        self.hist_enabled && self.level >= TelemetryLevel::Counters
     }
 
     /// Enables or disables histogram recording wholesale (used by the
@@ -1356,14 +1366,17 @@ mod tests {
     fn hist_recording_is_gated_by_level_and_toggle() {
         let mut t = Telemetry::off();
         let h = t.hist("run.x");
+        assert!(!t.records_histograms());
         t.hist_record(h, 1.0);
         assert!(t.histograms().get("run.x").unwrap().is_empty());
 
         let mut t = Telemetry::new(TelemetryLevel::Counters);
         let h = t.hist("run.x");
+        assert!(t.records_histograms());
         t.hist_record(h, 1.0);
         assert_eq!(t.histograms().get("run.x").unwrap().count(), 1);
         t.set_histograms(false);
+        assert!(!t.records_histograms());
         t.hist_record(h, 2.0);
         assert_eq!(t.histograms().get("run.x").unwrap().count(), 1);
     }

@@ -375,12 +375,13 @@ pub fn parse_exposition(text: &str) -> Result<Vec<ParsedFamily>, String> {
 /// subsystem spans nest under the event category whose handler invokes
 /// them (`channel.sample` under `event.transmit`, `grid.update` and
 /// `mesh.handle` under `event.tx_end`, `grid.fix` under
-/// `event.robot_window_end`, `mobility.step` under `event.move_tick` —
-/// unknown names fall back to `run.event_loop`). Each output line carries
-/// the span's *self* time — its total minus its direct children's totals,
-/// in exact integer arithmetic (saturating at zero if children overlap) —
-/// so that summing a frame's subtree reproduces the profiler's total for
-/// that span exactly whenever the data nests consistently.
+/// `event.robot_window_end`, `grid.entropy` under `event.metrics_sample`,
+/// `mobility.step` under `event.move_tick` — unknown names fall back to
+/// `run.event_loop`). Each output line carries the span's *self* time —
+/// its total minus its direct children's totals, in exact integer
+/// arithmetic (saturating at zero if children overlap) — so that summing a
+/// frame's subtree reproduces the profiler's total for that span exactly
+/// whenever the data nests consistently.
 ///
 /// Input: `(name, total_ns)` pairs. Output: `(stack, self_ns)` lines with
 /// `;`-separated frames, zero-valued lines omitted, sorted by stack.
@@ -399,6 +400,7 @@ pub fn fold_spans(spans: &[(&str, u128)]) -> Vec<(String, u128)> {
             }
             "grid.update" | "mesh.handle" => &["event.tx_end", "run.event_loop", "run.total"],
             "grid.fix" => &["event.robot_window_end", "run.event_loop", "run.total"],
+            "grid.entropy" => &["event.metrics_sample", "run.event_loop", "run.total"],
             "mobility.step" => &["event.move_tick", "run.event_loop", "run.total"],
             _ => &["run.event_loop", "run.total"],
         };
@@ -596,6 +598,32 @@ mod tests {
         for &(name, total) in &spans {
             assert_eq!(subtree(name), total, "subtree of {name}");
         }
+    }
+
+    #[test]
+    fn grid_entropy_folds_under_the_metrics_tick() {
+        let spans: Vec<(&str, u128)> = vec![
+            ("run.total", 100),
+            ("run.event_loop", 90),
+            ("event.metrics_sample", 60),
+            ("grid.entropy", 40),
+        ];
+        let folded = fold_spans(&spans);
+        assert!(folded.contains(&(
+            "run.total;run.event_loop;event.metrics_sample;grid.entropy".to_owned(),
+            40
+        )));
+        assert!(folded.contains(&(
+            "run.total;run.event_loop;event.metrics_sample".to_owned(),
+            20
+        )));
+        // Without the event span it falls back to the event loop.
+        let folded = fold_spans(&[
+            ("run.total", 100),
+            ("run.event_loop", 90),
+            ("grid.entropy", 40),
+        ]);
+        assert!(folded.contains(&("run.total;run.event_loop;grid.entropy".to_owned(), 40)));
     }
 
     #[test]
