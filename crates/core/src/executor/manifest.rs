@@ -18,16 +18,13 @@
 use std::fmt;
 use std::path::Path;
 
-use cocoa_multicast::mesh::MeshStats;
 use cocoa_net::energy::EnergyLedger;
-use cocoa_net::geometry::Point;
 use cocoa_sim::jsonfmt::ObjectWriter;
 use cocoa_sim::snapshot::{
-    put_bytes, put_f64, put_u64, put_u8, put_usize, Snapshot, SnapshotError, SnapshotReader,
-    SnapshotWriter,
+    put_bytes, put_u8, put_usize, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
 };
-use cocoa_sim::time::SimTime;
 
+use crate::codec::{self, bad_tag, codec_struct, Codec};
 use crate::health::HealthLedger;
 use crate::metrics::{
     EnergyReport, ErrorPoint, ErrorSnapshot, RobotFinalState, RobustnessStats, RunMetrics,
@@ -36,9 +33,6 @@ use crate::metrics::{
 
 /// The `kind` tag stamped into every manifest's meta line.
 pub const MANIFEST_KIND: &str = "cocoa-sweep-manifest";
-
-/// Guard against absurd element counts from corrupt length prefixes.
-const CAP_GUARD: usize = 1 << 20;
 
 /// Why a manifest could not be loaded or stored.
 #[derive(Debug)]
@@ -101,6 +95,33 @@ impl PointState {
     }
 }
 
+/// A completed point carries its metrics as a nested blob in the
+/// [`encode_metrics`] form, an in-flight one its snapshot bytes.
+impl Codec for PointState {
+    fn put(&self, buf: &mut Vec<u8>) {
+        match self {
+            PointState::Pending => put_u8(buf, 0),
+            PointState::InFlight(snap) => {
+                put_u8(buf, 1);
+                put_bytes(buf, snap);
+            }
+            PointState::Completed(metrics) => {
+                put_u8(buf, 2);
+                put_bytes(buf, &encode_metrics(metrics));
+            }
+        }
+    }
+
+    fn read(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(match r.u8()? {
+            0 => PointState::Pending,
+            1 => PointState::InFlight(r.bytes()?.to_vec()),
+            2 => PointState::Completed(Box::new(decode_metrics(r.bytes()?)?)),
+            t => return Err(bad_tag("point state", t)),
+        })
+    }
+}
+
 /// Progress ledger for one sweep: per-point fingerprints and states.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepManifest {
@@ -139,21 +160,12 @@ impl SweepManifest {
         meta.str_field("kind", MANIFEST_KIND)
             .u64_field("points", self.fingerprints.len() as u64);
         let meta = meta.finish();
+        // Written like `Vec<(u64, PointState)>`.
         let mut body = Vec::new();
         put_usize(&mut body, self.fingerprints.len());
         for (fp, state) in self.fingerprints.iter().zip(&self.states) {
-            put_u64(&mut body, *fp);
-            match state {
-                PointState::Pending => put_u8(&mut body, 0),
-                PointState::InFlight(snap) => {
-                    put_u8(&mut body, 1);
-                    put_bytes(&mut body, snap);
-                }
-                PointState::Completed(metrics) => {
-                    put_u8(&mut body, 2);
-                    put_bytes(&mut body, &encode_metrics(metrics));
-                }
-            }
+            fp.put(&mut body);
+            state.put(&mut body);
         }
         let mut w = SnapshotWriter::new(meta);
         w.push_section("sweep", body);
@@ -169,34 +181,9 @@ impl SweepManifest {
             return Err(ManifestError::WrongKind(snap.meta().to_string()));
         }
         let mut r = snap.section("sweep")?;
-        let n = r.usize_()?;
-        if n > CAP_GUARD {
-            return Err(SnapshotError::Malformed {
-                context: format!("manifest declares {n} points"),
-            }
-            .into());
-        }
-        let mut fingerprints = Vec::with_capacity(n);
-        let mut states = Vec::with_capacity(n);
-        for i in 0..n {
-            fingerprints.push(r.u64()?);
-            let tag = r.u8()?;
-            states.push(match tag {
-                0 => PointState::Pending,
-                1 => PointState::InFlight(r.bytes()?.to_vec()),
-                2 => {
-                    let payload = r.bytes()?;
-                    PointState::Completed(Box::new(decode_metrics(payload)?))
-                }
-                other => {
-                    return Err(SnapshotError::Malformed {
-                        context: format!("point {i}: unknown state tag {other}"),
-                    }
-                    .into())
-                }
-            });
-        }
+        let points: Vec<(u64, PointState)> = Codec::read(&mut r)?;
         r.finish()?;
+        let (fingerprints, states) = points.into_iter().unzip();
         Ok(SweepManifest {
             fingerprints,
             states,
@@ -228,239 +215,48 @@ impl SweepManifest {
 }
 
 // ---------------------------------------------------------------------------
-// RunMetrics wire codec.
-//
-// serde in this tree is a vendored stub (no real serialization), so the
-// manifest carries metrics through the same hand-rolled little-endian
-// style as the engine snapshot codec. f64 fields travel as raw bit
-// patterns — byte-exact round-trips are the whole point.
+// RunMetrics wire codec: the manifest's completed points, `cocoa-serve`
+// responses and `--state-dir` results. f64 fields travel as raw bit
+// patterns, so decode → encode is the identity on bytes.
 
-fn put_vec<T>(buf: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<u8>, &T)) {
-    put_usize(buf, items.len());
-    for item in items {
-        put(buf, item);
-    }
-}
+codec_struct! { ErrorPoint { t_s, mean_error_m, robots } }
+// Built as a literal: the stored order is already sorted, and
+// `ErrorSnapshot::new` would re-sort (and so could perturb a byte-exact
+// round trip if NaNs are ever present).
+codec_struct! { ErrorSnapshot { time, errors_m } }
+codec_struct! { EnergyLedger { tx_uj, rx_uj, idle_uj, sleep_uj, wake_uj } }
+codec_struct! { EnergyReport { per_robot } }
+codec_struct! { TrafficStats {
+    beacons_sent, beacons_received, collisions, syncs_delivered, syncs_missed, fixes,
+    starved_windows,
+} }
+codec_struct! { RobotFinalState { true_position, estimate, equipped } }
+codec_struct! { RobustnessStats {
+    crashes, reboots, failovers, burst_losses, corrupt_frames_dropped, garbled_frames_delivered,
+    outlier_beacons_rejected, flat_posteriors, stale_syncs_ignored, malformed_sync_bodies,
+} }
+codec_struct! { HealthLedger { healthy_s, degraded_s, dead_reckoning_s, down_s } }
+codec_struct! { RunMetrics {
+    error_series, snapshots, energy, mesh, traffic, final_states, position_snapshots, robustness,
+    health, events_processed,
+} }
 
-fn read_vec<T>(
-    r: &mut SnapshotReader<'_>,
-    what: &str,
-    mut read: impl FnMut(&mut SnapshotReader<'_>) -> Result<T, SnapshotError>,
-) -> Result<Vec<T>, SnapshotError> {
-    let n = r.usize_()?;
-    if n > CAP_GUARD {
-        return Err(SnapshotError::Malformed {
-            context: format!("{what}: impossible length {n}"),
-        });
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(read(r)?);
-    }
-    Ok(out)
-}
-
-fn put_time(buf: &mut Vec<u8>, t: SimTime) {
-    put_u64(buf, t.as_micros());
-}
-
-fn read_time(r: &mut SnapshotReader<'_>) -> Result<SimTime, SnapshotError> {
-    Ok(SimTime::from_micros(r.u64()?))
-}
-
-fn put_point(buf: &mut Vec<u8>, p: &Point) {
-    put_f64(buf, p.x);
-    put_f64(buf, p.y);
-}
-
-fn read_point(r: &mut SnapshotReader<'_>) -> Result<Point, SnapshotError> {
-    Ok(Point {
-        x: r.f64()?,
-        y: r.f64()?,
-    })
-}
-
-fn put_final_state(buf: &mut Vec<u8>, s: &RobotFinalState) {
-    put_point(buf, &s.true_position);
-    put_point(buf, &s.estimate);
-    cocoa_sim::snapshot::put_bool(buf, s.equipped);
-}
-
-fn read_final_state(r: &mut SnapshotReader<'_>) -> Result<RobotFinalState, SnapshotError> {
-    Ok(RobotFinalState {
-        true_position: read_point(r)?,
-        estimate: read_point(r)?,
-        equipped: r.bool()?,
-    })
-}
-
-/// Serializes metrics to the manifest wire form (f64s as raw bits, so
-/// decode → encode is the identity on bytes).
+/// Serializes metrics to the manifest wire form.
 pub fn encode_metrics(m: &RunMetrics) -> Vec<u8> {
-    let mut b = Vec::new();
-    put_vec(&mut b, &m.error_series, |b, p| {
-        put_f64(b, p.t_s);
-        put_f64(b, p.mean_error_m);
-        put_usize(b, p.robots);
-    });
-    put_vec(&mut b, &m.snapshots, |b, s| {
-        put_time(b, s.time);
-        put_vec(b, &s.errors_m, |b, &e| put_f64(b, e));
-    });
-    put_vec(&mut b, &m.energy.per_robot, |b, l| {
-        put_f64(b, l.tx_uj);
-        put_f64(b, l.rx_uj);
-        put_f64(b, l.idle_uj);
-        put_f64(b, l.sleep_uj);
-        put_f64(b, l.wake_uj);
-    });
-    for v in [
-        m.mesh.queries_originated,
-        m.mesh.queries_rebroadcast,
-        m.mesh.queries_suppressed,
-        m.mesh.replies_sent,
-        m.mesh.fg_activations,
-        m.mesh.data_originated,
-        m.mesh.data_forwarded,
-        m.mesh.data_delivered,
-        m.mesh.data_duplicates,
-        m.mesh.data_undecodable,
-    ] {
-        put_u64(&mut b, v);
-    }
-    for v in [
-        m.traffic.beacons_sent,
-        m.traffic.beacons_received,
-        m.traffic.collisions,
-        m.traffic.syncs_delivered,
-        m.traffic.syncs_missed,
-        m.traffic.fixes,
-        m.traffic.starved_windows,
-    ] {
-        put_u64(&mut b, v);
-    }
-    put_vec(&mut b, &m.final_states, put_final_state);
-    put_vec(&mut b, &m.position_snapshots, |b, (t, states)| {
-        put_time(b, *t);
-        put_vec(b, states, put_final_state);
-    });
-    for v in [
-        m.robustness.crashes,
-        m.robustness.reboots,
-        m.robustness.failovers,
-        m.robustness.burst_losses,
-        m.robustness.corrupt_frames_dropped,
-        m.robustness.garbled_frames_delivered,
-        m.robustness.outlier_beacons_rejected,
-        m.robustness.flat_posteriors,
-        m.robustness.stale_syncs_ignored,
-        m.robustness.malformed_sync_bodies,
-    ] {
-        put_u64(&mut b, v);
-    }
-    put_vec(&mut b, &m.health, |b, h| {
-        put_f64(b, h.healthy_s);
-        put_f64(b, h.degraded_s);
-        put_f64(b, h.dead_reckoning_s);
-        put_f64(b, h.down_s);
-    });
-    put_u64(&mut b, m.events_processed);
-    b
+    codec::encode(m)
 }
 
 /// Deserializes metrics from the manifest wire form.
 pub fn decode_metrics(bytes: &[u8]) -> Result<RunMetrics, SnapshotError> {
-    let mut r = SnapshotReader::new(bytes, "run metrics");
-    let error_series = read_vec(&mut r, "error series", |r| {
-        Ok(ErrorPoint {
-            t_s: r.f64()?,
-            mean_error_m: r.f64()?,
-            robots: r.usize_()?,
-        })
-    })?;
-    let snapshots = read_vec(&mut r, "error snapshots", |r| {
-        let time = read_time(r)?;
-        // Construct directly: the stored order is already sorted and
-        // `ErrorSnapshot::new` would re-sort (and so could perturb a
-        // byte-exact round-trip if NaNs are ever present).
-        let errors_m = read_vec(r, "snapshot errors", |r| r.f64())?;
-        Ok(ErrorSnapshot { time, errors_m })
-    })?;
-    let per_robot = read_vec(&mut r, "energy ledgers", |r| {
-        let mut l = EnergyLedger::new();
-        l.tx_uj = r.f64()?;
-        l.rx_uj = r.f64()?;
-        l.idle_uj = r.f64()?;
-        l.sleep_uj = r.f64()?;
-        l.wake_uj = r.f64()?;
-        Ok(l)
-    })?;
-    let mesh = MeshStats {
-        queries_originated: r.u64()?,
-        queries_rebroadcast: r.u64()?,
-        queries_suppressed: r.u64()?,
-        replies_sent: r.u64()?,
-        fg_activations: r.u64()?,
-        data_originated: r.u64()?,
-        data_forwarded: r.u64()?,
-        data_delivered: r.u64()?,
-        data_duplicates: r.u64()?,
-        data_undecodable: r.u64()?,
-    };
-    let traffic = TrafficStats {
-        beacons_sent: r.u64()?,
-        beacons_received: r.u64()?,
-        collisions: r.u64()?,
-        syncs_delivered: r.u64()?,
-        syncs_missed: r.u64()?,
-        fixes: r.u64()?,
-        starved_windows: r.u64()?,
-    };
-    let final_states = read_vec(&mut r, "final states", read_final_state)?;
-    let position_snapshots = read_vec(&mut r, "position snapshots", |r| {
-        let t = read_time(r)?;
-        let states = read_vec(r, "snapshot states", read_final_state)?;
-        Ok((t, states))
-    })?;
-    let robustness = RobustnessStats {
-        crashes: r.u64()?,
-        reboots: r.u64()?,
-        failovers: r.u64()?,
-        burst_losses: r.u64()?,
-        corrupt_frames_dropped: r.u64()?,
-        garbled_frames_delivered: r.u64()?,
-        outlier_beacons_rejected: r.u64()?,
-        flat_posteriors: r.u64()?,
-        stale_syncs_ignored: r.u64()?,
-        malformed_sync_bodies: r.u64()?,
-    };
-    let health = read_vec(&mut r, "health ledgers", |r| {
-        Ok(HealthLedger {
-            healthy_s: r.f64()?,
-            degraded_s: r.f64()?,
-            dead_reckoning_s: r.f64()?,
-            down_s: r.f64()?,
-        })
-    })?;
-    let events_processed = r.u64()?;
-    r.finish()?;
-    Ok(RunMetrics {
-        error_series,
-        snapshots,
-        energy: EnergyReport { per_robot },
-        mesh,
-        traffic,
-        final_states,
-        position_snapshots,
-        robustness,
-        health,
-        events_processed,
-    })
+    codec::decode(bytes, "run metrics")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cocoa_multicast::mesh::MeshStats;
+    use cocoa_net::geometry::Point;
+    use cocoa_sim::time::SimTime;
 
     fn sample_metrics(salt: u64) -> RunMetrics {
         let f = salt as f64;

@@ -48,6 +48,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod codec;
 pub mod executor;
 pub mod experiment;
 pub mod health;

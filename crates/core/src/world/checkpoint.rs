@@ -36,26 +36,24 @@ use cocoa_localization::kernel::GridPipeline;
 use cocoa_localization::multilateration::RangeObservation;
 use cocoa_mobility::motion::RobotMotion;
 use cocoa_mobility::odometry::{Odometer, OdometerCheckpoint, OdometryConfig};
-use cocoa_mobility::pose::Pose;
 use cocoa_mobility::waypoint::{WaypointCheckpoint, WaypointConfig, WaypointModel};
+use cocoa_multicast::mrmm::PruneConfig;
 use cocoa_multicast::odmrp::{MeshMode, OdmrpConfig};
 use cocoa_multicast::protocol::MulticastProtocol;
 use cocoa_net::calibration::{calibrate, CalibrationConfig, PdfTable, RadialConstraintTable};
 use cocoa_net::channel::{ChannelParams, PathLossModel, RfChannel};
-use cocoa_net::energy::{EnergyLedger, EnergyParams, PowerState};
-use cocoa_net::geometry::{Area, Point};
+use cocoa_net::energy::{EnergyParams, PowerState};
 use cocoa_net::mac::{ActiveTxState, Medium, MediumState, TxId};
 use cocoa_net::packet::{NodeId, Packet};
 use cocoa_net::radio::{Radio, RadioCheckpoint};
-use cocoa_net::rssi::Dbm;
 use cocoa_sim::engine::Engine;
 use cocoa_sim::event::EventQueue;
-use cocoa_sim::faults::{Fault, FaultPlan, GilbertElliott, GilbertElliottLink};
+use cocoa_sim::faults::{Fault, FaultEvent, FaultPlan, GilbertElliott, GilbertElliottLink};
 use cocoa_sim::jsonfmt::ObjectWriter;
 use cocoa_sim::rng::{DetRng, SeedSplitter};
 use cocoa_sim::snapshot::{
-    intern, put_bool, put_bytes, put_f64, put_str, put_u32, put_u64, put_u8, put_usize, Snapshot,
-    SnapshotError, SnapshotReader, SnapshotWriter,
+    put_bytes, put_u32, put_u64, put_usize, Snapshot, SnapshotError, SnapshotReader,
+    SnapshotWriter, SNAPSHOT_SCHEMA_VERSION,
 };
 use cocoa_sim::telemetry::hist::{HistSnapshot, Histogram, NUM_BUCKETS};
 use cocoa_sim::telemetry::{
@@ -64,6 +62,7 @@ use cocoa_sim::telemetry::{
 use cocoa_sim::time::{SimDuration, SimTime};
 use cocoa_sim::trace::TraceLevel;
 
+use crate::codec::{self, codec_enum, codec_struct, malformed, put_seq, read_len, Codec};
 use crate::health::{DegradationState, HealthLedger, HealthMonitor};
 use crate::metrics::{
     ErrorPoint, ErrorSnapshot, RobotFinalState, RobustnessStats, RunMetrics, TrafficStats,
@@ -85,355 +84,105 @@ const SECTIONS: [&str; 7] = [
     "telemetry",
 ];
 
-/// Upper bound on `Vec::with_capacity` pre-allocation while decoding
-/// length-prefixed collections: a corrupt length then costs a bounded
-/// allocation plus a clean `Truncated` error instead of an abort.
-const CAP_GUARD: usize = 4096;
-
-fn malformed(context: impl Into<String>) -> SnapshotError {
-    SnapshotError::Malformed {
-        context: context.into(),
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Small codec helpers shared by every section.
+// Scenario section, and the leaf values the other sections share.
 // ---------------------------------------------------------------------------
 
-fn put_time(buf: &mut Vec<u8>, t: SimTime) {
-    put_u64(buf, t.as_micros());
-}
-
-fn read_time(r: &mut SnapshotReader<'_>) -> Result<SimTime, SnapshotError> {
-    Ok(SimTime::from_micros(r.u64()?))
-}
-
-fn put_dur(buf: &mut Vec<u8>, d: SimDuration) {
-    put_u64(buf, d.as_micros());
-}
-
-fn read_dur(r: &mut SnapshotReader<'_>) -> Result<SimDuration, SnapshotError> {
-    Ok(SimDuration::from_micros(r.u64()?))
-}
-
-fn put_point(buf: &mut Vec<u8>, p: Point) {
-    put_f64(buf, p.x);
-    put_f64(buf, p.y);
-}
-
-fn read_point(r: &mut SnapshotReader<'_>) -> Result<Point, SnapshotError> {
-    Ok(Point::new(r.f64()?, r.f64()?))
-}
-
-fn put_pose(buf: &mut Vec<u8>, p: Pose) {
-    put_point(buf, p.position);
-    put_f64(buf, p.heading);
-}
-
-fn read_pose(r: &mut SnapshotReader<'_>) -> Result<Pose, SnapshotError> {
-    Ok(Pose {
-        position: read_point(r)?,
-        heading: r.f64()?,
-    })
-}
-
-fn put_opt<T>(buf: &mut Vec<u8>, v: Option<T>, f: impl FnOnce(&mut Vec<u8>, T)) {
-    match v {
-        Some(v) => {
-            put_bool(buf, true);
-            f(buf, v);
+impl Codec for DetRng {
+    fn put(&self, buf: &mut Vec<u8>) {
+        for word in self.state() {
+            put_u64(buf, word);
         }
-        None => put_bool(buf, false),
+    }
+
+    fn read(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let s = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
+        if s == [0u64; 4] {
+            return Err(malformed("rng stream has the all-zero state"));
+        }
+        Ok(DetRng::from_state(s))
     }
 }
 
-fn read_opt<T>(
-    r: &mut SnapshotReader<'_>,
-    f: impl FnOnce(&mut SnapshotReader<'_>) -> Result<T, SnapshotError>,
-) -> Result<Option<T>, SnapshotError> {
-    if r.bool()? {
-        Ok(Some(f(r)?))
-    } else {
-        Ok(None)
+/// Packets travel in their own wire encoding, as a length-prefixed blob.
+impl Codec for Packet {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_bytes(buf, &self.encode());
+    }
+
+    fn read(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Packet::decode(Bytes::from(r.bytes()?))
+            .map_err(|e| malformed(format!("undecodable packet in snapshot: {e:?}")))
     }
 }
 
-fn put_vec<T>(buf: &mut Vec<u8>, items: &[T], mut f: impl FnMut(&mut Vec<u8>, &T)) {
-    put_usize(buf, items.len());
-    for item in items {
-        f(buf, item);
+codec_enum! { RfAlgorithm, "rf algorithm" { 0 => Bayes {}, 1 => Multilateration {}, 2 => Ekf {} } }
+codec_struct! { EnergyParams {
+    idle_mw, sleep_mw, tx_uj_per_byte, tx_uj_fixed, rx_uj_per_byte, rx_uj_fixed, wake_uj,
+} }
+codec_struct! { OdometryConfig { displacement_sigma, angular_sigma, heading_drift_sigma } }
+codec_struct! { GilbertElliott { p_enter_bad, p_exit_bad, loss_good, loss_bad } }
+codec_enum! { Fault, "fault" {
+    0 => Crash { robot },
+    1 => Reboot { robot },
+    2 => ClockSkewStep { robot, delta_ppm },
+    3 => GarbleTxStart { robot },
+    4 => GarbleTxEnd { robot },
+    5 => BeaconOffsetStart { robot, dx_m, dy_m },
+    6 => BeaconOffsetEnd { robot },
+    7 => BurstLossStart { model },
+    8 => BurstLossEnd {},
+} }
+
+codec_enum! { PathLossModel, "path-loss model" {
+    0 => LogDistance { exponent },
+    1 => TwoRayGround { antenna_height_m, wavelength_m },
+} }
+codec_struct! { ChannelParams {
+    tx_power_dbm, path_loss_1m_db, path_loss, shadowing_sigma_db, shadowing_sigma_slope_db_per_m,
+    multipath_onset_m, multipath_fade_prob, multipath_fade_mean_db, sensitivity_dbm,
+} }
+codec_enum! { EstimatorMode, "estimator mode" {
+    0 => OdometryOnly {},
+    1 => RfOnly {},
+    2 => Cocoa {},
+} }
+codec_enum! { MeshMode, "mesh mode" { 0 => Odmrp {}, 1 => Mrmm {} } }
+codec_struct! { PruneConfig { min_lifetime_s, redundancy_threshold } }
+codec_struct! { OdmrpConfig {
+    mode, max_hops, fg_timeout, reply_delay, rebroadcast_jitter, range_m, lifetime_horizon_s, prune,
+    dedup_retention,
+} }
+codec_enum! { MulticastProtocol, "multicast protocol" {
+    0 => Flood {},
+    1 => Odmrp {},
+    2 => Mrmm {},
+} }
+codec_struct! { GridPipeline { adaptive, adaptive_coarse_factor, adaptive_refine_factor } }
+codec_struct! { FaultEvent { at, fault } }
+
+/// A plan is its event list; decoding re-schedules each event.
+impl Codec for FaultPlan {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_seq(buf, self.events().iter());
+    }
+
+    fn read(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let mut plan = FaultPlan::new();
+        for e in Vec::<FaultEvent>::read(r)? {
+            plan.schedule(e.at, e.fault);
+        }
+        Ok(plan)
     }
 }
 
-fn read_vec<T>(
-    r: &mut SnapshotReader<'_>,
-    mut f: impl FnMut(&mut SnapshotReader<'_>) -> Result<T, SnapshotError>,
-) -> Result<Vec<T>, SnapshotError> {
-    let n = r.usize_()?;
-    let mut v = Vec::with_capacity(n.min(CAP_GUARD));
-    for _ in 0..n {
-        v.push(f(r)?);
-    }
-    Ok(v)
-}
-
-fn put_rng(buf: &mut Vec<u8>, rng: &DetRng) {
-    for word in rng.state() {
-        put_u64(buf, word);
-    }
-}
-
-fn read_rng(r: &mut SnapshotReader<'_>) -> Result<DetRng, SnapshotError> {
-    let s = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
-    if s == [0u64; 4] {
-        return Err(malformed("rng stream has the all-zero state"));
-    }
-    Ok(DetRng::from_state(s))
-}
-
-fn bad_tag(what: &str, tag: u8) -> SnapshotError {
-    malformed(format!("unknown {what} tag {tag}"))
-}
-
-// ---------------------------------------------------------------------------
-// Scenario section.
-// ---------------------------------------------------------------------------
-
-fn put_channel(buf: &mut Vec<u8>, c: &ChannelParams) {
-    put_f64(buf, c.tx_power_dbm);
-    put_f64(buf, c.path_loss_1m_db);
-    match c.path_loss {
-        PathLossModel::LogDistance { exponent } => {
-            put_u8(buf, 0);
-            put_f64(buf, exponent);
-        }
-        PathLossModel::TwoRayGround {
-            antenna_height_m,
-            wavelength_m,
-        } => {
-            put_u8(buf, 1);
-            put_f64(buf, antenna_height_m);
-            put_f64(buf, wavelength_m);
-        }
-    }
-    put_f64(buf, c.shadowing_sigma_db);
-    put_f64(buf, c.shadowing_sigma_slope_db_per_m);
-    put_f64(buf, c.multipath_onset_m);
-    put_f64(buf, c.multipath_fade_prob);
-    put_f64(buf, c.multipath_fade_mean_db);
-    put_f64(buf, c.sensitivity_dbm);
-}
-
-fn read_channel(r: &mut SnapshotReader<'_>) -> Result<ChannelParams, SnapshotError> {
-    let tx_power_dbm = r.f64()?;
-    let path_loss_1m_db = r.f64()?;
-    let path_loss = match r.u8()? {
-        0 => PathLossModel::LogDistance { exponent: r.f64()? },
-        1 => PathLossModel::TwoRayGround {
-            antenna_height_m: r.f64()?,
-            wavelength_m: r.f64()?,
-        },
-        t => return Err(bad_tag("path-loss model", t)),
-    };
-    Ok(ChannelParams {
-        tx_power_dbm,
-        path_loss_1m_db,
-        path_loss,
-        shadowing_sigma_db: r.f64()?,
-        shadowing_sigma_slope_db_per_m: r.f64()?,
-        multipath_onset_m: r.f64()?,
-        multipath_fade_prob: r.f64()?,
-        multipath_fade_mean_db: r.f64()?,
-        sensitivity_dbm: r.f64()?,
-    })
-}
-
-fn put_energy(buf: &mut Vec<u8>, e: &EnergyParams) {
-    put_f64(buf, e.idle_mw);
-    put_f64(buf, e.sleep_mw);
-    put_f64(buf, e.tx_uj_per_byte);
-    put_f64(buf, e.tx_uj_fixed);
-    put_f64(buf, e.rx_uj_per_byte);
-    put_f64(buf, e.rx_uj_fixed);
-    put_f64(buf, e.wake_uj);
-}
-
-fn read_energy(r: &mut SnapshotReader<'_>) -> Result<EnergyParams, SnapshotError> {
-    Ok(EnergyParams {
-        idle_mw: r.f64()?,
-        sleep_mw: r.f64()?,
-        tx_uj_per_byte: r.f64()?,
-        tx_uj_fixed: r.f64()?,
-        rx_uj_per_byte: r.f64()?,
-        rx_uj_fixed: r.f64()?,
-        wake_uj: r.f64()?,
-    })
-}
-
-fn put_fault(buf: &mut Vec<u8>, f: &Fault) {
-    match f {
-        Fault::Crash { robot } => {
-            put_u8(buf, 0);
-            put_usize(buf, *robot);
-        }
-        Fault::Reboot { robot } => {
-            put_u8(buf, 1);
-            put_usize(buf, *robot);
-        }
-        Fault::ClockSkewStep { robot, delta_ppm } => {
-            put_u8(buf, 2);
-            put_usize(buf, *robot);
-            put_f64(buf, *delta_ppm);
-        }
-        Fault::GarbleTxStart { robot } => {
-            put_u8(buf, 3);
-            put_usize(buf, *robot);
-        }
-        Fault::GarbleTxEnd { robot } => {
-            put_u8(buf, 4);
-            put_usize(buf, *robot);
-        }
-        Fault::BeaconOffsetStart { robot, dx_m, dy_m } => {
-            put_u8(buf, 5);
-            put_usize(buf, *robot);
-            put_f64(buf, *dx_m);
-            put_f64(buf, *dy_m);
-        }
-        Fault::BeaconOffsetEnd { robot } => {
-            put_u8(buf, 6);
-            put_usize(buf, *robot);
-        }
-        Fault::BurstLossStart { model } => {
-            put_u8(buf, 7);
-            put_gilbert(buf, model);
-        }
-        Fault::BurstLossEnd => put_u8(buf, 8),
-    }
-}
-
-fn read_fault(r: &mut SnapshotReader<'_>) -> Result<Fault, SnapshotError> {
-    Ok(match r.u8()? {
-        0 => Fault::Crash { robot: r.usize_()? },
-        1 => Fault::Reboot { robot: r.usize_()? },
-        2 => Fault::ClockSkewStep {
-            robot: r.usize_()?,
-            delta_ppm: r.f64()?,
-        },
-        3 => Fault::GarbleTxStart { robot: r.usize_()? },
-        4 => Fault::GarbleTxEnd { robot: r.usize_()? },
-        5 => Fault::BeaconOffsetStart {
-            robot: r.usize_()?,
-            dx_m: r.f64()?,
-            dy_m: r.f64()?,
-        },
-        6 => Fault::BeaconOffsetEnd { robot: r.usize_()? },
-        7 => Fault::BurstLossStart {
-            model: read_gilbert(r)?,
-        },
-        8 => Fault::BurstLossEnd,
-        t => return Err(bad_tag("fault", t)),
-    })
-}
-
-fn put_gilbert(buf: &mut Vec<u8>, m: &GilbertElliott) {
-    put_f64(buf, m.p_enter_bad);
-    put_f64(buf, m.p_exit_bad);
-    put_f64(buf, m.loss_good);
-    put_f64(buf, m.loss_bad);
-}
-
-fn read_gilbert(r: &mut SnapshotReader<'_>) -> Result<GilbertElliott, SnapshotError> {
-    Ok(GilbertElliott {
-        p_enter_bad: r.f64()?,
-        p_exit_bad: r.f64()?,
-        loss_good: r.f64()?,
-        loss_bad: r.f64()?,
-    })
-}
-
-fn encode_scenario(s: &Scenario) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_u64(&mut buf, s.seed);
-    put_f64(&mut buf, s.area.x_min);
-    put_f64(&mut buf, s.area.x_max);
-    put_f64(&mut buf, s.area.y_min);
-    put_f64(&mut buf, s.area.y_max);
-    put_usize(&mut buf, s.num_robots);
-    put_usize(&mut buf, s.num_equipped);
-    put_dur(&mut buf, s.duration);
-    put_dur(&mut buf, s.beacon_period);
-    put_dur(&mut buf, s.transmit_window);
-    put_u32(&mut buf, s.beacons_per_window);
-    put_f64(&mut buf, s.v_min);
-    put_f64(&mut buf, s.v_max);
-    put_u8(
-        &mut buf,
-        match s.mode {
-            EstimatorMode::OdometryOnly => 0,
-            EstimatorMode::RfOnly => 1,
-            EstimatorMode::Cocoa => 2,
-        },
-    );
-    put_u8(
-        &mut buf,
-        match s.rf_algorithm {
-            RfAlgorithm::Bayes => 0,
-            RfAlgorithm::Multilateration => 1,
-            RfAlgorithm::Ekf => 2,
-        },
-    );
-    put_bool(&mut buf, s.coordination);
-    put_f64(&mut buf, s.grid_resolution_m);
-    put_channel(&mut buf, &s.channel);
-    put_energy(&mut buf, &s.energy);
-    put_f64(&mut buf, s.odometry.displacement_sigma);
-    put_f64(&mut buf, s.odometry.angular_sigma);
-    put_f64(&mut buf, s.odometry.heading_drift_sigma);
-    put_u8(
-        &mut buf,
-        match s.mesh.mode {
-            MeshMode::Odmrp => 0,
-            MeshMode::Mrmm => 1,
-        },
-    );
-    put_u8(&mut buf, s.mesh.max_hops);
-    put_dur(&mut buf, s.mesh.fg_timeout);
-    put_dur(&mut buf, s.mesh.reply_delay);
-    put_dur(&mut buf, s.mesh.rebroadcast_jitter);
-    put_f64(&mut buf, s.mesh.range_m);
-    put_f64(&mut buf, s.mesh.lifetime_horizon_s);
-    put_f64(&mut buf, s.mesh.prune.min_lifetime_s);
-    put_u32(&mut buf, s.mesh.prune.redundancy_threshold);
-    put_dur(&mut buf, s.mesh.dedup_retention);
-    put_u8(
-        &mut buf,
-        match s.multicast {
-            MulticastProtocol::Flood => 0,
-            MulticastProtocol::Odmrp => 1,
-            MulticastProtocol::Mrmm => 2,
-        },
-    );
-    put_bool(&mut buf, s.sync_enabled);
-    put_f64(&mut buf, s.clock_skew_ppm);
-    put_dur(&mut buf, s.guard_band);
-    put_dur(&mut buf, s.tick);
-    put_dur(&mut buf, s.metrics_interval);
-    put_vec(&mut buf, &s.snapshot_times, |b, &t| put_time(b, t));
-    put_f64(&mut buf, s.packet_loss);
-    put_bool(&mut buf, s.relay_beaconing);
-    put_u64(&mut buf, s.relay_max_fix_age_windows);
-    put_vec(&mut buf, s.faults.events(), |b, e| {
-        put_time(b, e.at);
-        put_fault(b, &e.fault);
-    });
-    put_u32(&mut buf, s.failover_missed_periods);
-    put_f64(&mut buf, s.entropy_watchdog_frac);
-    put_f64(&mut buf, s.outlier_gate_m);
-    put_bool(&mut buf, s.grid_pipeline.adaptive);
-    put_u32(&mut buf, s.grid_pipeline.adaptive_coarse_factor);
-    put_f64(&mut buf, s.grid_pipeline.adaptive_refine_factor);
-    buf
-}
+codec_struct! { Scenario {
+    seed, area, num_robots, num_equipped, duration, beacon_period, transmit_window,
+    beacons_per_window, v_min, v_max, mode, rf_algorithm, coordination, grid_resolution_m, channel,
+    energy, odometry, mesh, multicast, sync_enabled, clock_skew_ppm, guard_band, tick,
+    metrics_interval, snapshot_times, packet_loss, relay_beaconing, relay_max_fix_age_windows,
+    faults, failover_missed_periods, entropy_watchdog_frac, outlier_gate_m, grid_pipeline,
+} }
 
 /// The setup-feeding subset of the scenario encoding: exactly the
 /// fields whose effects are baked into a time-zero snapshot during
@@ -447,64 +196,12 @@ fn encode_scenario(s: &Scenario) -> Vec<u8> {
 /// compatibility check and the [`warm_fingerprint`] cache key can never
 /// drift apart.
 fn encode_scenario_immutable(s: &Scenario) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_u64(&mut buf, s.seed);
-    put_f64(&mut buf, s.area.x_min);
-    put_f64(&mut buf, s.area.x_max);
-    put_f64(&mut buf, s.area.y_min);
-    put_f64(&mut buf, s.area.y_max);
-    put_usize(&mut buf, s.num_robots);
-    put_usize(&mut buf, s.num_equipped);
-    put_f64(&mut buf, s.v_min);
-    put_f64(&mut buf, s.v_max);
-    put_u8(
-        &mut buf,
-        match s.mode {
-            EstimatorMode::OdometryOnly => 0,
-            EstimatorMode::RfOnly => 1,
-            EstimatorMode::Cocoa => 2,
-        },
-    );
-    put_u8(
-        &mut buf,
-        match s.rf_algorithm {
-            RfAlgorithm::Bayes => 0,
-            RfAlgorithm::Multilateration => 1,
-            RfAlgorithm::Ekf => 2,
-        },
-    );
-    put_f64(&mut buf, s.grid_resolution_m);
-    put_channel(&mut buf, &s.channel);
-    put_energy(&mut buf, &s.energy);
-    put_f64(&mut buf, s.odometry.displacement_sigma);
-    put_f64(&mut buf, s.odometry.angular_sigma);
-    put_f64(&mut buf, s.odometry.heading_drift_sigma);
-    put_u8(
-        &mut buf,
-        match s.mesh.mode {
-            MeshMode::Odmrp => 0,
-            MeshMode::Mrmm => 1,
-        },
-    );
-    put_u8(&mut buf, s.mesh.max_hops);
-    put_dur(&mut buf, s.mesh.fg_timeout);
-    put_dur(&mut buf, s.mesh.reply_delay);
-    put_dur(&mut buf, s.mesh.rebroadcast_jitter);
-    put_f64(&mut buf, s.mesh.range_m);
-    put_f64(&mut buf, s.mesh.lifetime_horizon_s);
-    put_f64(&mut buf, s.mesh.prune.min_lifetime_s);
-    put_u32(&mut buf, s.mesh.prune.redundancy_threshold);
-    put_dur(&mut buf, s.mesh.dedup_retention);
-    put_u8(
-        &mut buf,
-        match s.multicast {
-            MulticastProtocol::Flood => 0,
-            MulticastProtocol::Odmrp => 1,
-            MulticastProtocol::Mrmm => 2,
-        },
-    );
-    put_f64(&mut buf, s.clock_skew_ppm);
-    buf
+    codec::encode(&(
+        (s.seed, s.area, s.num_robots, s.num_equipped, s.v_min),
+        (s.v_max, s.mode, s.rf_algorithm, s.grid_resolution_m),
+        (s.channel, s.energy, s.odometry),
+        (s.mesh, s.multicast, s.clock_skew_ppm),
+    ))
 }
 
 /// CRC-fingerprints `payload` under the given codec version: the high
@@ -522,7 +219,7 @@ fn versioned_fingerprint(payload: &[u8], version: u32) -> u64 {
 
 /// A 64-bit fingerprint of a scenario's full configuration, derived
 /// from the same canonical encoding the snapshot codec persists,
-/// prefixed with [`cocoa_sim::snapshot::SNAPSHOT_SCHEMA_VERSION`].
+/// prefixed with [`SNAPSHOT_SCHEMA_VERSION`].
 ///
 /// Sweep manifests store one fingerprint per point so a manifest is
 /// never replayed against a different sweep: any scenario field that
@@ -532,10 +229,7 @@ fn versioned_fingerprint(payload: &[u8], version: u32) -> u64 {
 /// Cheap, stable across runs, and collision-resistant enough for
 /// sweep-shaped point counts.
 pub fn scenario_fingerprint(s: &Scenario) -> u64 {
-    versioned_fingerprint(
-        &encode_scenario(s),
-        cocoa_sim::snapshot::SNAPSHOT_SCHEMA_VERSION,
-    )
+    versioned_fingerprint(&codec::encode(s), SNAPSHOT_SCHEMA_VERSION)
 }
 
 /// A 64-bit fingerprint of only the scenario's *setup-feeding* fields
@@ -548,257 +242,31 @@ pub fn scenario_fingerprint(s: &Scenario) -> u64 {
 /// fields (beacon period, windowing, faults, duration…) deliberately do
 /// not participate.
 pub fn warm_fingerprint(s: &Scenario) -> u64 {
-    versioned_fingerprint(
-        &encode_scenario_immutable(s),
-        cocoa_sim::snapshot::SNAPSHOT_SCHEMA_VERSION,
-    )
-}
-
-fn decode_scenario(r: &mut SnapshotReader<'_>) -> Result<Scenario, SnapshotError> {
-    let seed = r.u64()?;
-    let area = Area {
-        x_min: r.f64()?,
-        x_max: r.f64()?,
-        y_min: r.f64()?,
-        y_max: r.f64()?,
-    };
-    let num_robots = r.usize_()?;
-    let num_equipped = r.usize_()?;
-    let duration = read_dur(r)?;
-    let beacon_period = read_dur(r)?;
-    let transmit_window = read_dur(r)?;
-    let beacons_per_window = r.u32()?;
-    let v_min = r.f64()?;
-    let v_max = r.f64()?;
-    let mode = match r.u8()? {
-        0 => EstimatorMode::OdometryOnly,
-        1 => EstimatorMode::RfOnly,
-        2 => EstimatorMode::Cocoa,
-        t => return Err(bad_tag("estimator mode", t)),
-    };
-    let rf_algorithm = match r.u8()? {
-        0 => RfAlgorithm::Bayes,
-        1 => RfAlgorithm::Multilateration,
-        2 => RfAlgorithm::Ekf,
-        t => return Err(bad_tag("rf algorithm", t)),
-    };
-    let coordination = r.bool()?;
-    let grid_resolution_m = r.f64()?;
-    let channel = read_channel(r)?;
-    let energy = read_energy(r)?;
-    let odometry = OdometryConfig {
-        displacement_sigma: r.f64()?,
-        angular_sigma: r.f64()?,
-        heading_drift_sigma: r.f64()?,
-    };
-    let mesh_mode = match r.u8()? {
-        0 => MeshMode::Odmrp,
-        1 => MeshMode::Mrmm,
-        t => return Err(bad_tag("mesh mode", t)),
-    };
-    let mesh = OdmrpConfig {
-        mode: mesh_mode,
-        max_hops: r.u8()?,
-        fg_timeout: read_dur(r)?,
-        reply_delay: read_dur(r)?,
-        rebroadcast_jitter: read_dur(r)?,
-        range_m: r.f64()?,
-        lifetime_horizon_s: r.f64()?,
-        prune: cocoa_multicast::mrmm::PruneConfig {
-            min_lifetime_s: r.f64()?,
-            redundancy_threshold: r.u32()?,
-        },
-        dedup_retention: read_dur(r)?,
-    };
-    let multicast = match r.u8()? {
-        0 => MulticastProtocol::Flood,
-        1 => MulticastProtocol::Odmrp,
-        2 => MulticastProtocol::Mrmm,
-        t => return Err(bad_tag("multicast protocol", t)),
-    };
-    let sync_enabled = r.bool()?;
-    let clock_skew_ppm = r.f64()?;
-    let guard_band = read_dur(r)?;
-    let tick = read_dur(r)?;
-    let metrics_interval = read_dur(r)?;
-    let snapshot_times = read_vec(r, read_time)?;
-    let packet_loss = r.f64()?;
-    let relay_beaconing = r.bool()?;
-    let relay_max_fix_age_windows = r.u64()?;
-    let fault_events = read_vec(r, |r| Ok((read_time(r)?, read_fault(r)?)))?;
-    let mut faults = FaultPlan::new();
-    for (at, fault) in fault_events {
-        faults.schedule(at, fault);
-    }
-    let failover_missed_periods = r.u32()?;
-    let entropy_watchdog_frac = r.f64()?;
-    let outlier_gate_m = r.f64()?;
-    let grid_pipeline = GridPipeline {
-        adaptive: r.bool()?,
-        adaptive_coarse_factor: r.u32()?,
-        adaptive_refine_factor: r.f64()?,
-    };
-    Ok(Scenario {
-        seed,
-        area,
-        num_robots,
-        num_equipped,
-        duration,
-        beacon_period,
-        transmit_window,
-        beacons_per_window,
-        v_min,
-        v_max,
-        mode,
-        rf_algorithm,
-        coordination,
-        grid_resolution_m,
-        channel,
-        energy,
-        odometry,
-        mesh,
-        multicast,
-        sync_enabled,
-        clock_skew_ppm,
-        guard_band,
-        tick,
-        metrics_interval,
-        snapshot_times,
-        packet_loss,
-        relay_beaconing,
-        relay_max_fix_age_windows,
-        faults,
-        failover_missed_periods,
-        entropy_watchdog_frac,
-        outlier_gate_m,
-        grid_pipeline,
-    })
+    versioned_fingerprint(&encode_scenario_immutable(s), SNAPSHOT_SCHEMA_VERSION)
 }
 
 // ---------------------------------------------------------------------------
 // Engine section (clock + pending event queue).
 // ---------------------------------------------------------------------------
 
-fn put_packet(buf: &mut Vec<u8>, p: &Packet) {
-    put_bytes(buf, &p.encode());
-}
-
-fn read_packet(r: &mut SnapshotReader<'_>) -> Result<Packet, SnapshotError> {
-    let raw = r.bytes()?;
-    Packet::decode(Bytes::from(raw))
-        .map_err(|e| malformed(format!("undecodable packet in snapshot: {e:?}")))
-}
-
-fn put_event(buf: &mut Vec<u8>, e: &Event) {
-    match e {
-        Event::MoveTick => put_u8(buf, 0),
-        Event::MetricsSample => put_u8(buf, 1),
-        Event::WindowStart { index } => {
-            put_u8(buf, 2);
-            put_u64(buf, *index);
-        }
-        Event::RobotWake {
-            robot,
-            window,
-            epoch,
-        } => {
-            put_u8(buf, 3);
-            put_usize(buf, *robot);
-            put_u64(buf, *window);
-            put_u32(buf, *epoch);
-        }
-        Event::RobotWindowEnd {
-            robot,
-            window,
-            epoch,
-        } => {
-            put_u8(buf, 4);
-            put_usize(buf, *robot);
-            put_u64(buf, *window);
-            put_u32(buf, *epoch);
-        }
-        Event::Transmit { robot, intent } => {
-            put_u8(buf, 5);
-            put_usize(buf, *robot);
-            match intent {
-                TxIntent::Beacon => put_u8(buf, 0),
-                TxIntent::Mesh(packet) => {
-                    put_u8(buf, 1);
-                    put_packet(buf, packet);
-                }
-            }
-        }
-        Event::TxEnd { tx, receivers } => {
-            put_u8(buf, 6);
-            put_u64(buf, tx.raw());
-            put_vec(buf, receivers, |b, &i| put_usize(b, i));
-        }
-        Event::MeshReply { robot, source } => {
-            put_u8(buf, 7);
-            put_usize(buf, *robot);
-            put_u32(buf, source.0);
-        }
-        Event::MeshRebroadcast { robot, source, seq } => {
-            put_u8(buf, 8);
-            put_usize(buf, *robot);
-            put_u32(buf, source.0);
-            put_u32(buf, *seq);
-        }
-        Event::MediumGc => put_u8(buf, 9),
-        Event::Snapshot { index } => {
-            put_u8(buf, 10);
-            put_usize(buf, *index);
-        }
-        Event::Fault(f) => {
-            put_u8(buf, 11);
-            put_fault(buf, f);
-        }
-    }
-}
-
-fn read_event(r: &mut SnapshotReader<'_>) -> Result<Event, SnapshotError> {
-    Ok(match r.u8()? {
-        0 => Event::MoveTick,
-        1 => Event::MetricsSample,
-        2 => Event::WindowStart { index: r.u64()? },
-        3 => Event::RobotWake {
-            robot: r.usize_()?,
-            window: r.u64()?,
-            epoch: r.u32()?,
-        },
-        4 => Event::RobotWindowEnd {
-            robot: r.usize_()?,
-            window: r.u64()?,
-            epoch: r.u32()?,
-        },
-        5 => {
-            let robot = r.usize_()?;
-            let intent = match r.u8()? {
-                0 => TxIntent::Beacon,
-                1 => TxIntent::Mesh(read_packet(r)?),
-                t => return Err(bad_tag("tx intent", t)),
-            };
-            Event::Transmit { robot, intent }
-        }
-        6 => Event::TxEnd {
-            tx: TxId::from_raw(r.u64()?),
-            receivers: read_vec(r, |r| r.usize_())?,
-        },
-        7 => Event::MeshReply {
-            robot: r.usize_()?,
-            source: NodeId(r.u32()?),
-        },
-        8 => Event::MeshRebroadcast {
-            robot: r.usize_()?,
-            source: NodeId(r.u32()?),
-            seq: r.u32()?,
-        },
-        9 => Event::MediumGc,
-        10 => Event::Snapshot { index: r.usize_()? },
-        11 => Event::Fault(read_fault(r)?),
-        t => return Err(bad_tag("event", t)),
-    })
-}
+codec_enum! { TxIntent, "tx intent" {
+    0 => Beacon {},
+    1 => Mesh(packet),
+} }
+codec_enum! { Event, "event" {
+    0 => MoveTick {},
+    1 => MetricsSample {},
+    2 => WindowStart { index },
+    3 => RobotWake { robot, window, epoch },
+    4 => RobotWindowEnd { robot, window, epoch },
+    5 => Transmit { robot, intent },
+    6 => TxEnd { tx, receivers },
+    7 => MeshReply { robot, source },
+    8 => MeshRebroadcast { robot, source, seq },
+    9 => MediumGc {},
+    10 => Snapshot { index },
+    11 => Fault(fault),
+} }
 
 struct EngineParts {
     now: SimTime,
@@ -810,387 +278,251 @@ struct EngineParts {
     events: Vec<(SimTime, u64, Event)>,
 }
 
-fn encode_engine(parts: &EngineParts) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_time(&mut buf, parts.now);
-    put_time(&mut buf, parts.horizon);
-    put_bool(&mut buf, parts.stopped);
-    put_u64(&mut buf, parts.processed);
-    put_u64(&mut buf, parts.next_seq);
-    put_usize(&mut buf, parts.peak_len);
-    put_vec(&mut buf, &parts.events, |b, (t, seq, e)| {
-        put_time(b, *t);
-        put_u64(b, *seq);
-        put_event(b, e);
-    });
-    buf
+codec_struct! { EngineParts { now, horizon, stopped, processed, next_seq, peak_len, events } }
+
+/// Whether every robot index `e` names is inside a `num_robots` team.
+fn robots_in_range(e: &Event, num_robots: usize) -> bool {
+    match e {
+        Event::RobotWake { robot, .. }
+        | Event::RobotWindowEnd { robot, .. }
+        | Event::Transmit { robot, .. }
+        | Event::MeshReply { robot, .. }
+        | Event::MeshRebroadcast { robot, .. } => *robot < num_robots,
+        Event::TxEnd { receivers, .. } => receivers.iter().all(|&j| j < num_robots),
+        Event::Fault(fault) => fault.robot().is_none_or(|robot| robot < num_robots),
+        Event::MoveTick
+        | Event::MetricsSample
+        | Event::WindowStart { .. }
+        | Event::MediumGc
+        | Event::Snapshot { .. } => true,
+    }
 }
 
-fn decode_engine(r: &mut SnapshotReader<'_>) -> Result<EngineParts, SnapshotError> {
-    let now = read_time(r)?;
-    let horizon = read_time(r)?;
-    let stopped = r.bool()?;
-    let processed = r.u64()?;
-    let next_seq = r.u64()?;
-    let peak_len = r.usize_()?;
-    let events = read_vec(r, |r| Ok((read_time(r)?, r.u64()?, read_event(r)?)))?;
+fn decode_engine(
+    r: &mut SnapshotReader<'_>,
+    num_robots: usize,
+) -> Result<EngineParts, SnapshotError> {
+    let parts = EngineParts::read(r)?;
     // Pre-validate what `EventQueue::from_parts` would otherwise assert,
     // so a corrupt section surfaces as a typed error rather than a panic.
-    if peak_len < events.len() {
+    if parts.peak_len < parts.events.len() {
         return Err(malformed(format!(
-            "queue peak_len {peak_len} below pending count {}",
-            events.len()
+            "queue peak_len {} below pending count {}",
+            parts.peak_len,
+            parts.events.len()
         )));
     }
-    for &(t, seq, _) in &events {
-        if seq >= next_seq {
+    for (t, seq, e) in &parts.events {
+        if *seq >= parts.next_seq {
             return Err(malformed(format!(
-                "queued event seq {seq} not below next_seq {next_seq}"
+                "queued event seq {seq} not below next_seq {}",
+                parts.next_seq
             )));
         }
-        if t < now {
+        if *t < parts.now {
             return Err(malformed(format!(
-                "queued event at {t} is before the engine clock {now}"
+                "queued event at {t} is before the engine clock {}",
+                parts.now
+            )));
+        }
+        // The handlers index `world.robots` with these unchecked.
+        if !robots_in_range(e, num_robots) {
+            return Err(malformed(format!(
+                "queued event {e:?} names a robot outside the {num_robots}-robot team"
             )));
         }
     }
-    Ok(EngineParts {
-        now,
-        horizon,
-        stopped,
-        processed,
-        next_seq,
-        peak_len,
-        events,
-    })
+    Ok(parts)
 }
 
 // ---------------------------------------------------------------------------
 // Medium section.
 // ---------------------------------------------------------------------------
 
-fn encode_medium(state: &MediumState) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_f64(&mut buf, state.capture_margin_db);
-    put_dur(&mut buf, state.retention);
-    put_u64(&mut buf, state.next_id);
-    put_u64(&mut buf, state.total_tx);
-    put_u64(&mut buf, state.total_collisions);
-    put_u64(&mut buf, state.total_half_duplex);
-    put_vec(&mut buf, &state.active, |b, tx| {
-        put_u64(b, tx.id.raw());
-        put_u32(b, tx.src.0);
-        put_point(b, tx.src_pos);
-        put_time(b, tx.start);
-        put_time(b, tx.end);
-        put_packet(b, &tx.packet);
-    });
-    put_vec(&mut buf, &state.rssi, |b, &(tx, rx, dbm)| {
-        put_u64(b, tx.raw());
-        put_u32(b, rx.0);
-        put_f64(b, dbm.0);
-    });
-    buf
-}
-
-fn decode_medium(r: &mut SnapshotReader<'_>) -> Result<MediumState, SnapshotError> {
-    Ok(MediumState {
-        capture_margin_db: r.f64()?,
-        retention: read_dur(r)?,
-        next_id: r.u64()?,
-        total_tx: r.u64()?,
-        total_collisions: r.u64()?,
-        total_half_duplex: r.u64()?,
-        active: read_vec(r, |r| {
-            Ok(ActiveTxState {
-                id: TxId::from_raw(r.u64()?),
-                src: NodeId(r.u32()?),
-                src_pos: read_point(r)?,
-                start: read_time(r)?,
-                end: read_time(r)?,
-                packet: read_packet(r)?,
-            })
-        })?,
-        rssi: read_vec(r, |r| {
-            Ok((TxId::from_raw(r.u64()?), NodeId(r.u32()?), Dbm(r.f64()?)))
-        })?,
-    })
-}
+codec_struct! { ActiveTxState { id, src, src_pos, start, end, packet } }
+codec_struct! { MediumState {
+    capture_margin_db, retention, next_id, total_tx, total_collisions, total_half_duplex, active,
+    rssi,
+} }
 
 // ---------------------------------------------------------------------------
 // Robots section.
 // ---------------------------------------------------------------------------
 
-/// Writes the estimator section: the lifecycle header shared by every
-/// backend, then a backend tag and the tagged solver payload (mirroring
-/// [`BackendCheckpoint`]).
-fn put_estimator(buf: &mut Vec<u8>, c: &EstimatorCheckpoint) {
-    put_u8(
-        buf,
-        match c.algorithm() {
-            RfAlgorithm::Bayes => 0,
-            RfAlgorithm::Multilateration => 1,
-            RfAlgorithm::Ekf => 2,
-        },
-    );
-    put_opt(buf, c.last_fix, put_point);
-    put_bool(buf, c.in_window);
-    put_u32(buf, c.stats.windows);
-    put_u32(buf, c.stats.fixes);
-    put_u32(buf, c.stats.flat_windows);
-    put_u64(buf, c.stats.beacons_seen);
-    put_u64(buf, c.stats.beacons_applied);
-    put_u64(buf, c.stats.beacons_rejected_outlier);
-    match &c.backend {
-        BackendCheckpoint::Bayes {
-            posterior_cells,
-            adaptive_tiles,
-            grid_stats,
-            beacons_applied,
-            beacons_seen,
-        } => {
-            put_vec(buf, posterior_cells, |b, &p| put_f64(b, p));
-            put_u32(buf, *beacons_applied);
-            put_u32(buf, *beacons_seen);
-            put_vec(buf, adaptive_tiles, |b, tile| match tile {
-                Tile::Coarse(mass) => {
-                    put_u8(b, 0);
-                    put_f64(b, *mass);
-                }
-                Tile::Refined(cells) => {
-                    put_u8(b, 1);
-                    put_vec(b, cells, |b, &m| put_f64(b, m));
-                }
-            });
-            put_u64(buf, grid_stats.kernel_simd);
-            put_u64(buf, grid_stats.kernel_adaptive);
-            put_u64(buf, grid_stats.cells_touched);
-            put_u64(buf, grid_stats.cells_refined);
-        }
-        BackendCheckpoint::Lateration { ranges } => {
-            put_vec(buf, ranges, |b, obs| {
-                put_point(b, obs.anchor);
-                put_f64(b, obs.range);
-                put_f64(b, obs.weight);
-            });
-        }
-        BackendCheckpoint::Ekf {
-            filter,
-            window_applied,
-            last_odo,
-        } => {
-            put_f64(buf, filter.x);
-            put_f64(buf, filter.y);
-            put_f64(buf, filter.p11);
-            put_f64(buf, filter.p12);
-            put_f64(buf, filter.p22);
-            put_u64(buf, filter.updates_applied);
-            put_u64(buf, filter.updates_gated);
-            put_u32(buf, filter.consecutive_gated);
-            put_u32(buf, *window_applied);
-            put_opt(buf, *last_odo, put_point);
-        }
-    }
-}
+codec_struct! { WindowStats {
+    windows, fixes, flat_windows, beacons_seen, beacons_applied, beacons_rejected_outlier,
+} }
+codec_enum! { Tile, "adaptive tile" {
+    0 => Coarse(mass),
+    1 => Refined(cells),
+} }
+codec_struct! { GridStats { kernel_simd, kernel_adaptive, cells_touched, cells_refined } }
+codec_struct! { RangeObservation { anchor, range, weight } }
+codec_struct! { EkfSnapshot {
+    x, y, p11, p12, p22, updates_applied, updates_gated, consecutive_gated,
+} }
 
-fn read_estimator(r: &mut SnapshotReader<'_>) -> Result<EstimatorCheckpoint, SnapshotError> {
-    let algorithm = match r.u8()? {
-        0 => RfAlgorithm::Bayes,
-        1 => RfAlgorithm::Multilateration,
-        2 => RfAlgorithm::Ekf,
-        t => return Err(bad_tag("rf algorithm", t)),
-    };
-    let last_fix = read_opt(r, read_point)?;
-    let in_window = r.bool()?;
-    let stats = WindowStats {
-        windows: r.u32()?,
-        fixes: r.u32()?,
-        flat_windows: r.u32()?,
-        beacons_seen: r.u64()?,
-        beacons_applied: r.u64()?,
-        beacons_rejected_outlier: r.u64()?,
-    };
-    let backend = match algorithm {
-        RfAlgorithm::Bayes => {
-            let posterior_cells = read_vec(r, |r| r.f64())?;
-            let beacons_applied = r.u32()?;
-            let beacons_seen = r.u32()?;
-            let adaptive_tiles = read_vec(r, |r| match r.u8()? {
-                0 => Ok(Tile::Coarse(r.f64()?)),
-                1 => Ok(Tile::Refined(read_vec(r, |r| r.f64())?)),
-                t => Err(bad_tag("adaptive tile", t)),
-            })?;
-            let grid_stats = GridStats {
-                kernel_simd: r.u64()?,
-                kernel_adaptive: r.u64()?,
-                cells_touched: r.u64()?,
-                cells_refined: r.u64()?,
-            };
+/// The lifecycle header shared by every backend, led by the backend's
+/// algorithm tag, then the solver payload of that backend (mirroring
+/// [`BackendCheckpoint`]).
+impl Codec for EstimatorCheckpoint {
+    fn put(&self, buf: &mut Vec<u8>) {
+        (self.algorithm(), self.last_fix, self.in_window, self.stats).put(buf);
+        match &self.backend {
             BackendCheckpoint::Bayes {
                 posterior_cells,
                 adaptive_tiles,
                 grid_stats,
                 beacons_applied,
                 beacons_seen,
+            } => {
+                posterior_cells.put(buf);
+                (*beacons_applied, *beacons_seen).put(buf);
+                adaptive_tiles.put(buf);
+                grid_stats.put(buf);
             }
+            BackendCheckpoint::Lateration { ranges } => ranges.put(buf),
+            BackendCheckpoint::Ekf {
+                filter,
+                window_applied,
+                last_odo,
+            } => (*filter, *window_applied, *last_odo).put(buf),
         }
-        RfAlgorithm::Multilateration => BackendCheckpoint::Lateration {
-            ranges: read_vec(r, |r| {
-                Ok(RangeObservation {
-                    anchor: read_point(r)?,
-                    range: r.f64()?,
-                    weight: r.f64()?,
-                })
-            })?,
-        },
-        RfAlgorithm::Ekf => BackendCheckpoint::Ekf {
-            filter: EkfSnapshot {
-                x: r.f64()?,
-                y: r.f64()?,
-                p11: r.f64()?,
-                p12: r.f64()?,
-                p22: r.f64()?,
-                updates_applied: r.u64()?,
-                updates_gated: r.u64()?,
-                consecutive_gated: r.u32()?,
+    }
+
+    fn read(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let (algorithm, last_fix, in_window, stats): (RfAlgorithm, _, _, _) = Codec::read(r)?;
+        let backend = match algorithm {
+            RfAlgorithm::Bayes => BackendCheckpoint::Bayes {
+                posterior_cells: Codec::read(r)?,
+                beacons_applied: Codec::read(r)?,
+                beacons_seen: Codec::read(r)?,
+                adaptive_tiles: Codec::read(r)?,
+                grid_stats: Codec::read(r)?,
             },
-            window_applied: r.u32()?,
-            last_odo: read_opt(r, read_point)?,
-        },
-    };
-    Ok(EstimatorCheckpoint {
-        last_fix,
-        in_window,
-        stats,
-        backend,
-    })
+            RfAlgorithm::Multilateration => BackendCheckpoint::Lateration {
+                ranges: Codec::read(r)?,
+            },
+            RfAlgorithm::Ekf => BackendCheckpoint::Ekf {
+                filter: Codec::read(r)?,
+                window_applied: Codec::read(r)?,
+                last_odo: Codec::read(r)?,
+            },
+        };
+        Ok(EstimatorCheckpoint {
+            last_fix,
+            in_window,
+            stats,
+            backend,
+        })
+    }
 }
 
-fn put_radio(buf: &mut Vec<u8>, c: &RadioCheckpoint) {
-    put_energy(buf, &c.params);
-    put_u64(buf, c.bitrate_bps);
-    put_u8(
-        buf,
-        match c.state {
-            PowerState::Off => 0,
-            PowerState::Sleep => 1,
-            PowerState::Idle => 2,
-        },
-    );
-    put_time(buf, c.since);
-    put_f64(buf, c.ledger.tx_uj);
-    put_f64(buf, c.ledger.rx_uj);
-    put_f64(buf, c.ledger.idle_uj);
-    put_f64(buf, c.ledger.sleep_uj);
-    put_f64(buf, c.ledger.wake_uj);
-    put_u32(buf, c.wakes);
-    put_u32(buf, c.packets_sent);
-    put_u32(buf, c.packets_received);
+codec_enum! { PowerState, "power state" { 0 => Off {}, 1 => Sleep {}, 2 => Idle {} } }
+codec_struct! { RadioCheckpoint {
+    params, bitrate_bps, state, since, ledger, wakes, packets_sent, packets_received,
+} }
+codec_struct! { WaypointConfig { area, v_min, v_max } }
+codec_struct! { WaypointCheckpoint { config, pose, destination, speed, legs_completed } }
+codec_struct! { OdometerCheckpoint { config, estimate, distance_integrated, observations } }
+codec_struct! { FixAnchor { fix, odo_at_fix } }
+codec_enum! { DegradationState, "degradation state" {
+    0 => Healthy {},
+    1 => Degraded {},
+    2 => DeadReckoning {},
+    3 => Down {},
+} }
+
+/// One robot as the robots section holds it. Identity is implicit in
+/// the record's position; the estimator and mesh backend are rebuilt
+/// from the scenario and then restored from their checkpoints.
+struct RobotRecord {
+    alive: bool,
+    equipped: bool,
+    epoch: u32,
+    has_fix: bool,
+    last_fix_window: Option<u64>,
+    synced_this_window: bool,
+    garbled_tx: bool,
+    beacon_offset: Option<(f64, f64)>,
+    fix_anchor: Option<FixAnchor>,
+    waypoints: WaypointCheckpoint,
+    odometer: OdometerCheckpoint,
+    radio: RadioCheckpoint,
+    clock: (f64, f64, SimTime, u32, u32),
+    health: (DegradationState, SimTime, HealthLedger),
+    rf: Option<EstimatorCheckpoint>,
+    mesh: Vec<u8>,
 }
 
-fn read_radio(r: &mut SnapshotReader<'_>) -> Result<RadioCheckpoint, SnapshotError> {
-    Ok(RadioCheckpoint {
-        params: read_energy(r)?,
-        bitrate_bps: r.u64()?,
-        state: match r.u8()? {
-            0 => PowerState::Off,
-            1 => PowerState::Sleep,
-            2 => PowerState::Idle,
-            t => return Err(bad_tag("power state", t)),
-        },
-        since: read_time(r)?,
-        ledger: EnergyLedger {
-            tx_uj: r.f64()?,
-            rx_uj: r.f64()?,
-            idle_uj: r.f64()?,
-            sleep_uj: r.f64()?,
-            wake_uj: r.f64()?,
-        },
-        wakes: r.u32()?,
-        packets_sent: r.u32()?,
-        packets_received: r.u32()?,
-    })
+codec_struct! { RobotRecord {
+    alive, equipped, epoch, has_fix, last_fix_window, synced_this_window, garbled_tx, beacon_offset,
+    fix_anchor, waypoints, odometer, radio, clock, health, rf, mesh,
+} }
+
+impl RobotRecord {
+    fn of(robot: &Robot) -> RobotRecord {
+        RobotRecord {
+            alive: robot.alive,
+            equipped: robot.equipped,
+            epoch: robot.epoch,
+            has_fix: robot.has_fix,
+            last_fix_window: robot.last_fix_window,
+            synced_this_window: robot.synced_this_window,
+            garbled_tx: robot.garbled_tx,
+            beacon_offset: robot.beacon_offset,
+            fix_anchor: robot.fix_anchor,
+            waypoints: robot.motion.waypoints().checkpoint(),
+            odometer: robot.motion.odometer().checkpoint(),
+            radio: robot.radio.checkpoint(),
+            clock: robot.clock.checkpoint(),
+            health: robot.health.checkpoint(),
+            rf: robot.rf.as_ref().map(|rf| rf.checkpoint()),
+            mesh: robot.mesh.save_state(),
+        }
+    }
+
+    fn into_robot(self, index: usize, scenario: &Scenario) -> Result<Robot, SnapshotError> {
+        let id = NodeId(index as u32);
+        let grid = GridConfig::new(scenario.area, scenario.grid_resolution_m);
+        let mut mesh = mesh::make_backend(scenario.multicast, id, SYNC_GROUP, true, scenario.mesh);
+        mesh.load_state(&self.mesh)?;
+        let (skew, error_s, anchor, missed, stale) = self.clock;
+        let (state, since, ledger) = self.health;
+        Ok(Robot {
+            id,
+            index,
+            equipped: self.equipped,
+            motion: RobotMotion::from_parts(
+                WaypointModel::from_checkpoint(self.waypoints),
+                Odometer::from_checkpoint(self.odometer),
+            ),
+            radio: Radio::from_checkpoint(self.radio),
+            rf: self.rf.map(|c| {
+                WindowedRfEstimator::from_checkpoint_with(grid, scenario.grid_pipeline, c)
+            }),
+            mesh,
+            clock: DriftingClock::from_checkpoint(skew, error_s, anchor, missed, stale),
+            has_fix: self.has_fix,
+            last_fix_window: self.last_fix_window,
+            synced_this_window: self.synced_this_window,
+            fix_anchor: self.fix_anchor,
+            alive: self.alive,
+            epoch: self.epoch,
+            garbled_tx: self.garbled_tx,
+            beacon_offset: self.beacon_offset,
+            health: HealthMonitor::from_checkpoint(state, since, ledger),
+        })
+    }
 }
 
-fn put_health_state(buf: &mut Vec<u8>, s: DegradationState) {
-    put_u8(
-        buf,
-        match s {
-            DegradationState::Healthy => 0,
-            DegradationState::Degraded => 1,
-            DegradationState::DeadReckoning => 2,
-            DegradationState::Down => 3,
-        },
-    );
-}
-
-fn read_health_state(r: &mut SnapshotReader<'_>) -> Result<DegradationState, SnapshotError> {
-    Ok(match r.u8()? {
-        0 => DegradationState::Healthy,
-        1 => DegradationState::Degraded,
-        2 => DegradationState::DeadReckoning,
-        3 => DegradationState::Down,
-        t => return Err(bad_tag("degradation state", t)),
-    })
-}
-
+/// Written like `Vec<RobotRecord>`, one record at a time so a capture
+/// never holds every robot's estimator checkpoint at once.
 fn encode_robots(robots: &[Robot]) -> Vec<u8> {
     let mut buf = Vec::new();
     put_usize(&mut buf, robots.len());
     for robot in robots {
-        put_bool(&mut buf, robot.alive);
-        put_bool(&mut buf, robot.equipped);
-        put_u32(&mut buf, robot.epoch);
-        put_bool(&mut buf, robot.has_fix);
-        put_opt(&mut buf, robot.last_fix_window, put_u64);
-        put_bool(&mut buf, robot.synced_this_window);
-        put_bool(&mut buf, robot.garbled_tx);
-        put_opt(&mut buf, robot.beacon_offset, |b, (dx, dy)| {
-            put_f64(b, dx);
-            put_f64(b, dy);
-        });
-        put_opt(&mut buf, robot.fix_anchor, |b, a| {
-            put_point(b, a.fix);
-            put_point(b, a.odo_at_fix);
-        });
-        let wc = robot.motion.waypoints().checkpoint();
-        put_f64(&mut buf, wc.config.area.x_min);
-        put_f64(&mut buf, wc.config.area.x_max);
-        put_f64(&mut buf, wc.config.area.y_min);
-        put_f64(&mut buf, wc.config.area.y_max);
-        put_f64(&mut buf, wc.config.v_min);
-        put_f64(&mut buf, wc.config.v_max);
-        put_pose(&mut buf, wc.pose);
-        put_point(&mut buf, wc.destination);
-        put_f64(&mut buf, wc.speed);
-        put_u64(&mut buf, wc.legs_completed);
-        let oc = robot.motion.odometer().checkpoint();
-        put_f64(&mut buf, oc.config.displacement_sigma);
-        put_f64(&mut buf, oc.config.angular_sigma);
-        put_f64(&mut buf, oc.config.heading_drift_sigma);
-        put_pose(&mut buf, oc.estimate);
-        put_f64(&mut buf, oc.distance_integrated);
-        put_u64(&mut buf, oc.observations);
-        put_radio(&mut buf, &robot.radio.checkpoint());
-        let (skew, error_s, anchor, missed, stale) = robot.clock.checkpoint();
-        put_f64(&mut buf, skew);
-        put_f64(&mut buf, error_s);
-        put_time(&mut buf, anchor);
-        put_u32(&mut buf, missed);
-        put_u32(&mut buf, stale);
-        let (hstate, hsince, hledger) = robot.health.checkpoint();
-        put_health_state(&mut buf, hstate);
-        put_time(&mut buf, hsince);
-        put_f64(&mut buf, hledger.healthy_s);
-        put_f64(&mut buf, hledger.degraded_s);
-        put_f64(&mut buf, hledger.dead_reckoning_s);
-        put_f64(&mut buf, hledger.down_s);
-        put_opt(
-            &mut buf,
-            robot.rf.as_ref().map(|rf| rf.checkpoint()),
-            |b, c| put_estimator(b, &c),
-        );
-        put_bytes(&mut buf, &robot.mesh.save_state());
+        RobotRecord::of(robot).put(&mut buf);
     }
     buf
 }
@@ -1199,176 +531,35 @@ fn decode_robots(
     r: &mut SnapshotReader<'_>,
     scenario: &Scenario,
 ) -> Result<Vec<Robot>, SnapshotError> {
-    let n = r.usize_()?;
+    let n = read_len(r)?;
     if n != scenario.num_robots {
         return Err(malformed(format!(
             "snapshot holds {n} robots but the scenario declares {}",
             scenario.num_robots
         )));
     }
-    let grid = GridConfig::new(scenario.area, scenario.grid_resolution_m);
-    let mut robots = Vec::with_capacity(n.min(CAP_GUARD));
-    for i in 0..n {
-        let alive = r.bool()?;
-        let equipped = r.bool()?;
-        let epoch = r.u32()?;
-        let has_fix = r.bool()?;
-        let last_fix_window = read_opt(r, |r| r.u64())?;
-        let synced_this_window = r.bool()?;
-        let garbled_tx = r.bool()?;
-        let beacon_offset = read_opt(r, |r| Ok((r.f64()?, r.f64()?)))?;
-        let fix_anchor = read_opt(r, |r| {
-            Ok(FixAnchor {
-                fix: read_point(r)?,
-                odo_at_fix: read_point(r)?,
-            })
-        })?;
-        let waypoints = WaypointModel::from_checkpoint(WaypointCheckpoint {
-            config: WaypointConfig {
-                area: Area {
-                    x_min: r.f64()?,
-                    x_max: r.f64()?,
-                    y_min: r.f64()?,
-                    y_max: r.f64()?,
-                },
-                v_min: r.f64()?,
-                v_max: r.f64()?,
-            },
-            pose: read_pose(r)?,
-            destination: read_point(r)?,
-            speed: r.f64()?,
-            legs_completed: r.u64()?,
-        });
-        let odometer = Odometer::from_checkpoint(OdometerCheckpoint {
-            config: OdometryConfig {
-                displacement_sigma: r.f64()?,
-                angular_sigma: r.f64()?,
-                heading_drift_sigma: r.f64()?,
-            },
-            estimate: read_pose(r)?,
-            distance_integrated: r.f64()?,
-            observations: r.u64()?,
-        });
-        let radio = Radio::from_checkpoint(read_radio(r)?);
-        let clock = {
-            let skew = r.f64()?;
-            let error_s = r.f64()?;
-            let anchor = read_time(r)?;
-            let missed = r.u32()?;
-            let stale = r.u32()?;
-            DriftingClock::from_checkpoint(skew, error_s, anchor, missed, stale)
-        };
-        let health = {
-            let state = read_health_state(r)?;
-            let since = read_time(r)?;
-            let ledger = HealthLedger {
-                healthy_s: r.f64()?,
-                degraded_s: r.f64()?,
-                dead_reckoning_s: r.f64()?,
-                down_s: r.f64()?,
-            };
-            HealthMonitor::from_checkpoint(state, since, ledger)
-        };
-        let rf = read_opt(r, read_estimator)?
-            .map(|c| WindowedRfEstimator::from_checkpoint_with(grid, scenario.grid_pipeline, c));
-        let mesh_bytes = r.bytes()?;
-        let mut mesh = mesh::make_backend(
-            scenario.multicast,
-            NodeId(i as u32),
-            SYNC_GROUP,
-            true,
-            scenario.mesh,
-        );
-        mesh.load_state(mesh_bytes)?;
-        robots.push(Robot {
-            id: NodeId(i as u32),
-            index: i,
-            equipped,
-            motion: RobotMotion::from_parts(waypoints, odometer),
-            radio,
-            rf,
-            mesh,
-            clock,
-            has_fix,
-            last_fix_window,
-            synced_this_window,
-            fix_anchor,
-            alive,
-            epoch,
-            garbled_tx,
-            beacon_offset,
-            health,
-        });
-    }
-    Ok(robots)
+    (0..n)
+        .map(|i| RobotRecord::read(r)?.into_robot(i, scenario))
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
 // World section (accumulators, fault overlays).
 // ---------------------------------------------------------------------------
 
-fn encode_world(world: &WorldState) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_usize(&mut buf, world.sync_robot);
-    put_u32(&mut buf, world.sync_dead_windows);
-    put_dur(&mut buf, world.max_guard);
-    put_opt(&mut buf, world.next_robot_sample, put_time);
-    let t = &world.traffic;
-    for v in [
-        t.beacons_sent,
-        t.beacons_received,
-        t.collisions,
-        t.syncs_delivered,
-        t.syncs_missed,
-        t.fixes,
-        t.starved_windows,
-    ] {
-        put_u64(&mut buf, v);
+impl Codec for GilbertElliottLink {
+    fn put(&self, buf: &mut Vec<u8>) {
+        (self.model(), self.in_bad()).put(buf);
     }
-    let ro = &world.robustness;
-    for v in [
-        ro.crashes,
-        ro.reboots,
-        ro.failovers,
-        ro.burst_losses,
-        ro.corrupt_frames_dropped,
-        ro.garbled_frames_delivered,
-        ro.outlier_beacons_rejected,
-        ro.flat_posteriors,
-        ro.stale_syncs_ignored,
-        ro.malformed_sync_bodies,
-    ] {
-        put_u64(&mut buf, v);
+
+    fn read(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let (model, in_bad) = Codec::read(r)?;
+        Ok(GilbertElliottLink::with_state(model, in_bad))
     }
-    put_vec(&mut buf, &world.error_series, |b, p| {
-        put_f64(b, p.t_s);
-        put_f64(b, p.mean_error_m);
-        put_usize(b, p.robots);
-    });
-    put_vec(&mut buf, &world.snapshots, |b, s| {
-        put_time(b, s.time);
-        put_vec(b, &s.errors_m, |b, &e| put_f64(b, e));
-    });
-    put_vec(&mut buf, &world.position_snapshots, |b, (t, states)| {
-        put_time(b, *t);
-        put_vec(b, states, |b, s| {
-            put_point(b, s.true_position);
-            put_point(b, s.estimate);
-            put_bool(b, s.equipped);
-        });
-    });
-    put_opt(&mut buf, world.burst.as_deref(), |b, links| {
-        put_vec(b, links, |b, link| {
-            put_gilbert(b, &link.model());
-            put_bool(b, link.in_bad());
-        });
-    });
-    let mut corrupt: Vec<u64> = world.corrupt_txs.iter().map(|tx| tx.raw()).collect();
-    corrupt.sort_unstable();
-    put_vec(&mut buf, &corrupt, |b, &v| put_u64(b, v));
-    buf
 }
 
+/// The world section: the [`WorldState`] accumulators and fault
+/// overlays that no other section holds.
 struct WorldExtras {
     sync_robot: usize,
     sync_dead_windows: u32,
@@ -1380,83 +571,29 @@ struct WorldExtras {
     snapshots: Vec<ErrorSnapshot>,
     position_snapshots: Vec<(SimTime, Vec<RobotFinalState>)>,
     burst: Option<Vec<GilbertElliottLink>>,
-    corrupt_txs: std::collections::HashSet<TxId>,
+    /// Sorted, so the bytes do not depend on hash-set order.
+    corrupt_txs: Vec<TxId>,
 }
 
-fn decode_world(r: &mut SnapshotReader<'_>) -> Result<WorldExtras, SnapshotError> {
-    let sync_robot = r.usize_()?;
-    let sync_dead_windows = r.u32()?;
-    let max_guard = read_dur(r)?;
-    let next_robot_sample = read_opt(r, read_time)?;
-    let traffic = TrafficStats {
-        beacons_sent: r.u64()?,
-        beacons_received: r.u64()?,
-        collisions: r.u64()?,
-        syncs_delivered: r.u64()?,
-        syncs_missed: r.u64()?,
-        fixes: r.u64()?,
-        starved_windows: r.u64()?,
-    };
-    let robustness = RobustnessStats {
-        crashes: r.u64()?,
-        reboots: r.u64()?,
-        failovers: r.u64()?,
-        burst_losses: r.u64()?,
-        corrupt_frames_dropped: r.u64()?,
-        garbled_frames_delivered: r.u64()?,
-        outlier_beacons_rejected: r.u64()?,
-        flat_posteriors: r.u64()?,
-        stale_syncs_ignored: r.u64()?,
-        malformed_sync_bodies: r.u64()?,
-    };
-    let error_series = read_vec(r, |r| {
-        Ok(ErrorPoint {
-            t_s: r.f64()?,
-            mean_error_m: r.f64()?,
-            robots: r.usize_()?,
-        })
-    })?;
-    let snapshots = read_vec(r, |r| {
-        Ok(ErrorSnapshot {
-            time: read_time(r)?,
-            // Written from an `ErrorSnapshot`, so already sorted; the
-            // struct literal skips the re-sort of `ErrorSnapshot::new`.
-            errors_m: read_vec(r, |r| r.f64())?,
-        })
-    })?;
-    let position_snapshots = read_vec(r, |r| {
-        Ok((
-            read_time(r)?,
-            read_vec(r, |r| {
-                Ok(RobotFinalState {
-                    true_position: read_point(r)?,
-                    estimate: read_point(r)?,
-                    equipped: r.bool()?,
-                })
-            })?,
-        ))
-    })?;
-    let burst = read_opt(r, |r| {
-        read_vec(r, |r| {
-            let model = read_gilbert(r)?;
-            let in_bad = r.bool()?;
-            Ok(GilbertElliottLink::with_state(model, in_bad))
-        })
-    })?;
-    let corrupt_txs = read_vec(r, |r| Ok(TxId::from_raw(r.u64()?)))?
-        .into_iter()
-        .collect();
-    Ok(WorldExtras {
-        sync_robot,
-        sync_dead_windows,
-        max_guard,
-        next_robot_sample,
-        traffic,
-        robustness,
-        error_series,
-        snapshots,
-        position_snapshots,
-        burst,
+codec_struct! { WorldExtras {
+    sync_robot, sync_dead_windows, max_guard, next_robot_sample, traffic, robustness, error_series,
+    snapshots, position_snapshots, burst, corrupt_txs,
+} }
+
+fn encode_world(world: &WorldState) -> Vec<u8> {
+    let mut corrupt_txs: Vec<TxId> = world.corrupt_txs.iter().copied().collect();
+    corrupt_txs.sort_unstable();
+    codec::encode(&WorldExtras {
+        sync_robot: world.sync_robot,
+        sync_dead_windows: world.sync_dead_windows,
+        max_guard: world.max_guard,
+        next_robot_sample: world.next_robot_sample,
+        traffic: world.traffic,
+        robustness: world.robustness,
+        error_series: world.error_series.clone(),
+        snapshots: world.snapshots.clone(),
+        position_snapshots: world.position_snapshots.clone(),
+        burst: world.burst.clone(),
         corrupt_txs,
     })
 }
@@ -1465,352 +602,89 @@ fn decode_world(r: &mut SnapshotReader<'_>) -> Result<WorldExtras, SnapshotError
 // Telemetry section.
 // ---------------------------------------------------------------------------
 
-fn put_telemetry_event(buf: &mut Vec<u8>, e: &TelemetryEvent) {
-    match e {
-        TelemetryEvent::WindowStart { window } => {
-            put_u8(buf, 0);
-            put_u64(buf, *window);
-        }
-        TelemetryEvent::BeaconTx { robot, x_m, y_m } => {
-            put_u8(buf, 1);
-            put_u32(buf, *robot);
-            put_f64(buf, *x_m);
-            put_f64(buf, *y_m);
-        }
-        TelemetryEvent::BeaconRx {
-            robot,
-            from,
-            rssi_dbm,
-            outcome,
-        } => {
-            put_u8(buf, 2);
-            put_u32(buf, *robot);
-            put_u32(buf, *from);
-            put_f64(buf, *rssi_dbm);
-            put_str(buf, outcome);
-        }
-        TelemetryEvent::GridUpdate { robot } => {
-            put_u8(buf, 3);
-            put_u32(buf, *robot);
-        }
-        TelemetryEvent::Fix {
-            robot,
-            window,
-            x_m,
-            y_m,
-            err_m,
-        } => {
-            put_u8(buf, 4);
-            put_u32(buf, *robot);
-            put_u64(buf, *window);
-            put_f64(buf, *x_m);
-            put_f64(buf, *y_m);
-            put_f64(buf, *err_m);
-        }
-        TelemetryEvent::FlatPosterior {
-            robot,
-            window,
-            entropy,
-            threshold,
-        } => {
-            put_u8(buf, 5);
-            put_u32(buf, *robot);
-            put_u64(buf, *window);
-            put_f64(buf, *entropy);
-            put_f64(buf, *threshold);
-        }
-        TelemetryEvent::StarvedWindow { robot, window } => {
-            put_u8(buf, 6);
-            put_u32(buf, *robot);
-            put_u64(buf, *window);
-        }
-        TelemetryEvent::SyncDelivered { robot, window } => {
-            put_u8(buf, 7);
-            put_u32(buf, *robot);
-            put_u64(buf, *window);
-        }
-        TelemetryEvent::SyncMissed { robot, window } => {
-            put_u8(buf, 8);
-            put_u32(buf, *robot);
-            put_u64(buf, *window);
-        }
-        TelemetryEvent::Failover { new_sync } => {
-            put_u8(buf, 9);
-            put_u32(buf, *new_sync);
-        }
-        TelemetryEvent::MeshPrune { robot, source, seq } => {
-            put_u8(buf, 10);
-            put_u32(buf, *robot);
-            put_u32(buf, *source);
-            put_u32(buf, *seq);
-        }
-        TelemetryEvent::RadioState { robot, state } => {
-            put_u8(buf, 11);
-            put_u32(buf, *robot);
-            put_str(buf, state);
-        }
-        TelemetryEvent::FaultInjected { kind, robot } => {
-            put_u8(buf, 12);
-            put_str(buf, kind);
-            put_opt(buf, *robot, put_u32);
-        }
-        TelemetryEvent::HealthTransition { robot, state } => {
-            put_u8(buf, 13);
-            put_u32(buf, *robot);
-            put_str(buf, state);
-        }
-        TelemetryEvent::RobotSample {
-            robot,
-            true_x_m,
-            true_y_m,
-            est_x_m,
-            est_y_m,
-            err_m,
-            entropy_frac,
-            energy_j,
-            radio,
-            health,
-        } => {
-            put_u8(buf, 14);
-            put_u32(buf, *robot);
-            put_f64(buf, *true_x_m);
-            put_f64(buf, *true_y_m);
-            put_f64(buf, *est_x_m);
-            put_f64(buf, *est_y_m);
-            put_f64(buf, *err_m);
-            put_opt(buf, *entropy_frac, put_f64);
-            put_f64(buf, *energy_j);
-            put_str(buf, radio);
-            put_str(buf, health);
-        }
-        TelemetryEvent::TeamSample {
-            mean_err_m,
-            robots,
-            energy_j,
-        } => {
-            put_u8(buf, 15);
-            put_f64(buf, *mean_err_m);
-            put_u32(buf, *robots);
-            put_f64(buf, *energy_j);
-        }
-        TelemetryEvent::SnapshotTaken { bytes, sections } => {
-            put_u8(buf, 16);
-            put_u64(buf, *bytes);
-            put_u32(buf, *sections);
-        }
-        TelemetryEvent::SnapshotRestored { bytes } => {
-            put_u8(buf, 17);
-            put_u64(buf, *bytes);
-        }
-        TelemetryEvent::Legacy {
-            level,
-            subsystem,
-            message,
-        } => {
-            put_u8(buf, 18);
-            put_u8(
-                buf,
-                match level {
-                    TraceLevel::Debug => 0,
-                    TraceLevel::Info => 1,
-                    TraceLevel::Warn => 2,
-                },
-            );
-            put_str(buf, subsystem);
-            put_str(buf, message);
-        }
-    }
-}
+codec_enum! { TelemetryLevel, "telemetry level" {
+    0 => Off {},
+    1 => Counters {},
+    2 => Timeline {},
+    3 => Full {},
+} }
+codec_enum! { TraceLevel, "trace level" { 0 => Debug {}, 1 => Info {}, 2 => Warn {} } }
+codec_enum! { TelemetryEvent, "telemetry event" {
+    0 => WindowStart { window },
+    1 => BeaconTx { robot, x_m, y_m },
+    2 => BeaconRx { robot, from, rssi_dbm, outcome },
+    3 => GridUpdate { robot },
+    4 => Fix { robot, window, x_m, y_m, err_m },
+    5 => FlatPosterior { robot, window, entropy, threshold },
+    6 => StarvedWindow { robot, window },
+    7 => SyncDelivered { robot, window },
+    8 => SyncMissed { robot, window },
+    9 => Failover { new_sync },
+    10 => MeshPrune { robot, source, seq },
+    11 => RadioState { robot, state },
+    12 => FaultInjected { kind, robot },
+    13 => HealthTransition { robot, state },
+    14 => RobotSample {
+        robot, true_x_m, true_y_m, est_x_m, est_y_m, err_m, entropy_frac, energy_j, radio, health,
+    },
+    15 => TeamSample { mean_err_m, robots, energy_j },
+    16 => SnapshotTaken { bytes, sections },
+    17 => SnapshotRestored { bytes },
+    18 => Legacy { level, subsystem, message },
+} }
+codec_struct! { StampedEvent { t_us, seq, event } }
+codec_struct! { HistSnapshot { count, sum, min, max, buckets } }
 
-fn read_telemetry_event(r: &mut SnapshotReader<'_>) -> Result<TelemetryEvent, SnapshotError> {
-    Ok(match r.u8()? {
-        0 => TelemetryEvent::WindowStart { window: r.u64()? },
-        1 => TelemetryEvent::BeaconTx {
-            robot: r.u32()?,
-            x_m: r.f64()?,
-            y_m: r.f64()?,
-        },
-        2 => TelemetryEvent::BeaconRx {
-            robot: r.u32()?,
-            from: r.u32()?,
-            rssi_dbm: r.f64()?,
-            outcome: intern(r.str_()?),
-        },
-        3 => TelemetryEvent::GridUpdate { robot: r.u32()? },
-        4 => TelemetryEvent::Fix {
-            robot: r.u32()?,
-            window: r.u64()?,
-            x_m: r.f64()?,
-            y_m: r.f64()?,
-            err_m: r.f64()?,
-        },
-        5 => TelemetryEvent::FlatPosterior {
-            robot: r.u32()?,
-            window: r.u64()?,
-            entropy: r.f64()?,
-            threshold: r.f64()?,
-        },
-        6 => TelemetryEvent::StarvedWindow {
-            robot: r.u32()?,
-            window: r.u64()?,
-        },
-        7 => TelemetryEvent::SyncDelivered {
-            robot: r.u32()?,
-            window: r.u64()?,
-        },
-        8 => TelemetryEvent::SyncMissed {
-            robot: r.u32()?,
-            window: r.u64()?,
-        },
-        9 => TelemetryEvent::Failover { new_sync: r.u32()? },
-        10 => TelemetryEvent::MeshPrune {
-            robot: r.u32()?,
-            source: r.u32()?,
-            seq: r.u32()?,
-        },
-        11 => TelemetryEvent::RadioState {
-            robot: r.u32()?,
-            state: intern(r.str_()?),
-        },
-        12 => TelemetryEvent::FaultInjected {
-            kind: intern(r.str_()?),
-            robot: read_opt(r, |r| r.u32())?,
-        },
-        13 => TelemetryEvent::HealthTransition {
-            robot: r.u32()?,
-            state: intern(r.str_()?),
-        },
-        14 => TelemetryEvent::RobotSample {
-            robot: r.u32()?,
-            true_x_m: r.f64()?,
-            true_y_m: r.f64()?,
-            est_x_m: r.f64()?,
-            est_y_m: r.f64()?,
-            err_m: r.f64()?,
-            entropy_frac: read_opt(r, |r| r.f64())?,
-            energy_j: r.f64()?,
-            radio: intern(r.str_()?),
-            health: intern(r.str_()?),
-        },
-        15 => TelemetryEvent::TeamSample {
-            mean_err_m: r.f64()?,
-            robots: r.u32()?,
-            energy_j: r.f64()?,
-        },
-        16 => TelemetryEvent::SnapshotTaken {
-            bytes: r.u64()?,
-            sections: r.u32()?,
-        },
-        17 => TelemetryEvent::SnapshotRestored { bytes: r.u64()? },
-        18 => TelemetryEvent::Legacy {
-            level: match r.u8()? {
-                0 => TraceLevel::Debug,
-                1 => TraceLevel::Info,
-                2 => TraceLevel::Warn,
-                t => return Err(bad_tag("trace level", t)),
-            },
-            subsystem: intern(r.str_()?),
-            message: r.str_()?.to_owned(),
-        },
-        t => return Err(bad_tag("telemetry event", t)),
-    })
+impl Codec for Histogram {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.snapshot().put(buf);
+    }
+
+    fn read(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let snap = HistSnapshot::read(r)?;
+        for &(idx, _) in &snap.buckets {
+            if idx as usize >= NUM_BUCKETS {
+                return Err(malformed(format!("histogram bucket index {idx}")));
+            }
+        }
+        if snap.sum.is_nan() || snap.min.is_nan() || snap.max.is_nan() {
+            return Err(malformed("histogram NaN aggregate"));
+        }
+        Ok(Histogram::from_snapshot(&snap))
+    }
 }
 
 fn encode_telemetry(t: &Telemetry) -> Vec<u8> {
     let mut buf = Vec::new();
-    put_u8(
-        &mut buf,
-        match t.level() {
-            TelemetryLevel::Off => 0,
-            TelemetryLevel::Counters => 1,
-            TelemetryLevel::Timeline => 2,
-            TelemetryLevel::Full => 3,
-        },
-    );
-    put_opt(&mut buf, t.capacity(), put_usize);
-    put_u64(&mut buf, t.events_emitted());
-    put_u64(&mut buf, t.dropped_events());
-    put_opt(&mut buf, t.sample_interval(), put_dur);
+    (t.level(), t.capacity(), t.events_emitted()).put(&mut buf);
+    (t.dropped_events(), t.sample_interval()).put(&mut buf);
     let events: Vec<&StampedEvent> = t.events().collect();
-    put_usize(&mut buf, events.len());
-    for e in events {
-        put_u64(&mut buf, e.t_us);
-        put_u64(&mut buf, e.seq);
-        put_telemetry_event(&mut buf, &e.event);
-    }
-    put_vec(&mut buf, &t.counters().sorted(), |b, &(name, value)| {
-        put_str(b, name);
-        put_u64(b, value);
-    });
+    put_seq(&mut buf, events.into_iter());
+    t.counters().sorted().put(&mut buf);
     // Deterministic histogram state (wall-clock histograms restart at
     // zero on resume, exactly like span timers).
-    put_vec(
-        &mut buf,
-        &t.histograms().deterministic_sorted(),
-        |b, &(name, hist)| {
-            put_str(b, name);
-            put_hist(b, hist);
-        },
-    );
+    let hists = t.histograms().deterministic_sorted();
+    put_usize(&mut buf, hists.len());
+    for (name, hist) in hists {
+        name.put(&mut buf);
+        hist.put(&mut buf);
+    }
     buf
 }
 
-fn put_hist(buf: &mut Vec<u8>, h: &Histogram) {
-    let snap = h.snapshot();
-    put_u64(buf, snap.count);
-    put_f64(buf, snap.sum);
-    put_f64(buf, snap.min);
-    put_f64(buf, snap.max);
-    put_vec(buf, &snap.buckets, |b, &(idx, c)| {
-        put_u32(b, idx);
-        put_u64(b, c);
-    });
-}
-
-fn read_hist(r: &mut SnapshotReader<'_>) -> Result<Histogram, SnapshotError> {
-    let count = r.u64()?;
-    let sum = r.f64()?;
-    let min = r.f64()?;
-    let max = r.f64()?;
-    let buckets = read_vec(r, |r| Ok((r.u32()?, r.u64()?)))?;
-    for &(idx, _) in &buckets {
-        if idx as usize >= NUM_BUCKETS {
-            return Err(malformed(format!("histogram bucket index {idx}")));
-        }
-    }
-    if sum.is_nan() || min.is_nan() || max.is_nan() {
-        return Err(malformed("histogram NaN aggregate"));
-    }
-    Ok(Histogram::from_snapshot(&HistSnapshot {
-        buckets,
-        count,
-        sum,
-        min,
-        max,
-    }))
-}
-
 fn decode_telemetry(r: &mut SnapshotReader<'_>) -> Result<Telemetry, SnapshotError> {
-    let level = match r.u8()? {
-        0 => TelemetryLevel::Off,
-        1 => TelemetryLevel::Counters,
-        2 => TelemetryLevel::Timeline,
-        3 => TelemetryLevel::Full,
-        t => return Err(bad_tag("telemetry level", t)),
-    };
-    let capacity = read_opt(r, |r| r.usize_())?;
-    let seq = r.u64()?;
-    let dropped = r.u64()?;
-    let sample_interval = read_opt(r, read_dur)?;
-    let events = read_vec(r, |r| {
-        Ok(StampedEvent {
-            t_us: r.u64()?,
-            seq: r.u64()?,
-            event: read_telemetry_event(r)?,
-        })
-    })?;
-    let counters = read_vec(r, |r| Ok((intern(r.str_()?), r.u64()?)))?;
-    let hists = read_vec(r, |r| Ok((intern(r.str_()?), read_hist(r)?)))?;
+    let (level, capacity, seq, dropped): (TelemetryLevel, Option<usize>, u64, u64) =
+        Codec::read(r)?;
+    let sample_interval = Codec::read(r)?;
+    let events: Vec<StampedEvent> = Codec::read(r)?;
+    // `Telemetry::push` evicts only when the ring is exactly full, so an
+    // over-full ring would grow without bound and stop counting drops.
+    if capacity.is_some_and(|cap| events.len() > cap) {
+        return Err(malformed(format!(
+            "telemetry ring holds {} events over its capacity {capacity:?}",
+            events.len()
+        )));
+    }
     Ok(Telemetry::from_checkpoint(TelemetryCheckpoint {
         level,
         capacity,
@@ -1818,8 +692,8 @@ fn decode_telemetry(r: &mut SnapshotReader<'_>) -> Result<Telemetry, SnapshotErr
         dropped,
         sample_interval,
         events,
-        counters,
-        hists,
+        counters: Codec::read(r)?,
+        hists: Codec::read(r)?,
     }))
 }
 
@@ -1835,21 +709,33 @@ fn encode_all(world: &WorldState, parts: &EngineParts) -> Vec<u8> {
         .u64_field("robots", world.scenario.num_robots as u64)
         .str_field("multicast", world.scenario.multicast.as_str());
     let mut w = SnapshotWriter::new(meta.finish());
-    w.push_section("scenario", encode_scenario(&world.scenario));
-    w.push_section("engine", encode_engine(parts));
+    w.push_section("scenario", codec::encode(&world.scenario));
+    w.push_section("engine", codec::encode(parts));
     let mut rngs = Vec::new();
-    put_vec(&mut rngs, &world.move_rngs, put_rng);
-    put_vec(&mut rngs, &world.odo_rngs, put_rng);
-    put_rng(&mut rngs, &world.channel_rng);
-    put_rng(&mut rngs, &world.jitter_rng);
-    put_rng(&mut rngs, &world.fault_rng);
+    world.move_rngs.put(&mut rngs);
+    world.odo_rngs.put(&mut rngs);
+    world.channel_rng.put(&mut rngs);
+    world.jitter_rng.put(&mut rngs);
+    world.fault_rng.put(&mut rngs);
     w.push_section("rngs", rngs);
-    w.push_section("medium", encode_medium(&world.medium.state()));
+    w.push_section("medium", codec::encode(&world.medium.state()));
     w.push_section("robots", encode_robots(&world.robots));
     w.push_section("world", encode_world(world));
     w.push_section("telemetry", encode_telemetry(&world.telemetry));
     debug_assert_eq!(w.section_count(), SECTIONS.len());
     w.finish()
+}
+
+/// Decodes section `tag` with `read`, which must consume it exactly.
+fn section<T>(
+    snap: &Snapshot,
+    tag: &'static str,
+    read: impl FnOnce(&mut SnapshotReader<'_>) -> Result<T, SnapshotError>,
+) -> Result<T, SnapshotError> {
+    let mut r = snap.section(tag)?;
+    let value = read(&mut r)?;
+    r.finish()?;
+    Ok(value)
 }
 
 /// Decodes snapshot bytes into a world and engine, ready to run.
@@ -1864,80 +750,46 @@ fn decode(
     tables: Option<(PdfTable, RadialConstraintTable)>,
 ) -> Result<(WorldState, Engine<Event>), SnapshotError> {
     let snap = Snapshot::parse(bytes)?;
-    let scenario = {
-        let mut r = snap.section("scenario")?;
-        let s = decode_scenario(&mut r)?;
-        r.finish()?;
-        s
-    };
+    let scenario: Scenario = section(&snap, "scenario", Codec::read)?;
     scenario
         .validate()
         .map_err(|e| malformed(format!("snapshot scenario fails validation: {e}")))?;
 
     let channel = RfChannel::new(scenario.channel);
-    let (table, radial) = match tables {
-        Some(t) => t,
-        None => {
-            let split = SeedSplitter::new(scenario.seed);
-            let table = calibrate(
-                &channel,
-                &CalibrationConfig::default(),
-                &mut split.stream("calibration", 0),
-            );
-            let radial = cocoa_localization::bayes::radial_constraints_for_grid(
-                &table,
-                &GridConfig::new(scenario.area, scenario.grid_resolution_m),
-            );
-            (table, radial)
-        }
-    };
+    let (table, radial) = tables.unwrap_or_else(|| {
+        let split = SeedSplitter::new(scenario.seed);
+        let table = calibrate(
+            &channel,
+            &CalibrationConfig::default(),
+            &mut split.stream("calibration", 0),
+        );
+        let radial = cocoa_localization::bayes::radial_constraints_for_grid(
+            &table,
+            &GridConfig::new(scenario.area, scenario.grid_resolution_m),
+        );
+        (table, radial)
+    });
 
-    let parts = {
-        let mut r = snap.section("engine")?;
-        let p = decode_engine(&mut r)?;
-        r.finish()?;
-        p
-    };
+    let parts = section(&snap, "engine", |r| decode_engine(r, scenario.num_robots))?;
 
-    let (move_rngs, odo_rngs, channel_rng, jitter_rng, fault_rng) = {
-        let mut r = snap.section("rngs")?;
-        let move_rngs = read_vec(&mut r, read_rng)?;
-        let odo_rngs = read_vec(&mut r, read_rng)?;
-        let channel_rng = read_rng(&mut r)?;
-        let jitter_rng = read_rng(&mut r)?;
-        let fault_rng = read_rng(&mut r)?;
-        r.finish()?;
-        if move_rngs.len() != scenario.num_robots || odo_rngs.len() != scenario.num_robots {
-            return Err(malformed(format!(
-                "rng stream counts ({}, {}) do not match the {}-robot scenario",
-                move_rngs.len(),
-                odo_rngs.len(),
-                scenario.num_robots
-            )));
-        }
-        (move_rngs, odo_rngs, channel_rng, jitter_rng, fault_rng)
-    };
+    let (move_rngs, odo_rngs, channel_rng, jitter_rng, fault_rng) = section(
+        &snap,
+        "rngs",
+        <(Vec<DetRng>, Vec<DetRng>, DetRng, DetRng, DetRng)>::read,
+    )?;
+    if move_rngs.len() != scenario.num_robots || odo_rngs.len() != scenario.num_robots {
+        return Err(malformed(format!(
+            "rng stream counts ({}, {}) do not match the {}-robot scenario",
+            move_rngs.len(),
+            odo_rngs.len(),
+            scenario.num_robots
+        )));
+    }
 
-    let medium = {
-        let mut r = snap.section("medium")?;
-        let state = decode_medium(&mut r)?;
-        r.finish()?;
-        Medium::from_state(state)
-    };
+    let medium = Medium::from_state(section(&snap, "medium", Codec::read)?);
+    let robots = section(&snap, "robots", |r| decode_robots(r, &scenario))?;
 
-    let robots = {
-        let mut r = snap.section("robots")?;
-        let robots = decode_robots(&mut r, &scenario)?;
-        r.finish()?;
-        robots
-    };
-
-    let extras = {
-        let mut r = snap.section("world")?;
-        let e = decode_world(&mut r)?;
-        r.finish()?;
-        e
-    };
+    let extras: WorldExtras = section(&snap, "world", Codec::read)?;
     if extras.sync_robot >= scenario.num_robots {
         return Err(malformed(format!(
             "sync robot {} out of range for {} robots",
@@ -1953,13 +805,16 @@ fn decode(
             )));
         }
     }
+    // `metrics_hook::snapshot` indexes the error snapshots unchecked.
+    let slots = extras.snapshots.len();
+    let beyond = |e: &Event| matches!(e, Event::Snapshot { index } if *index >= slots);
+    if let Some((_, _, e)) = parts.events.iter().find(|(_, _, e)| beyond(e)) {
+        return Err(malformed(format!(
+            "queued {e:?} beyond {slots} error snapshots"
+        )));
+    }
 
-    let mut telemetry = {
-        let mut r = snap.section("telemetry")?;
-        let t = decode_telemetry(&mut r)?;
-        r.finish()?;
-        t
-    };
+    let mut telemetry = section(&snap, "telemetry", decode_telemetry)?;
     let spans = SpanIds::register(&mut telemetry);
     let hists = events::HistIds::register(&mut telemetry);
 
@@ -1986,7 +841,7 @@ fn decode(
         next_robot_sample: extras.next_robot_sample,
         fault_rng,
         burst: extras.burst,
-        corrupt_txs: extras.corrupt_txs,
+        corrupt_txs: extras.corrupt_txs.into_iter().collect(),
         robustness: extras.robustness,
         sync_dead_windows: extras.sync_dead_windows,
     };
@@ -2328,6 +1183,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cocoa_net::geometry::{Area, Point};
     use proptest::prelude::*;
 
     fn arb_point() -> impl Strategy<Value = Point> {
@@ -2426,15 +1282,12 @@ mod tests {
                 stats,
                 backend,
             };
-            let mut bytes = Vec::new();
-            put_estimator(&mut bytes, &checkpoint);
+            let bytes = codec::encode(&checkpoint);
             let mut reader = SnapshotReader::new(&bytes, "test");
-            let decoded = read_estimator(&mut reader).expect("own bytes must decode");
+            let decoded = EstimatorCheckpoint::read(&mut reader).expect("own bytes must decode");
             prop_assert_eq!(reader.remaining(), 0, "decoder must consume the section");
             prop_assert_eq!(&decoded, &checkpoint);
-            let mut again = Vec::new();
-            put_estimator(&mut again, &decoded);
-            prop_assert_eq!(again, bytes, "re-encode must be byte-identical");
+            prop_assert_eq!(codec::encode(&decoded), bytes, "re-encode must be byte-identical");
         }
     }
 
@@ -2445,218 +1298,120 @@ mod tests {
     fn every_builder_field_perturbs_the_fingerprint() {
         use crate::scenario::ScenarioBuilder;
         type Tweak = Box<dyn Fn(&mut ScenarioBuilder)>;
+        fn tweak(f: impl Fn(&mut ScenarioBuilder) -> &mut ScenarioBuilder + 'static) -> Tweak {
+            Box::new(move |b| {
+                f(b);
+            })
+        }
         let default_duration = Scenario::builder().build().duration;
         let perturbations: Vec<(&str, Tweak)> = vec![
-            (
-                "seed",
-                Box::new(|b| {
-                    b.seed(7);
-                }),
-            ),
-            (
-                "area",
-                Box::new(|b| {
-                    b.area(Area::square(300.0));
-                }),
-            ),
-            (
-                "robots",
-                Box::new(|b| {
-                    b.robots(40);
-                }),
-            ),
-            (
-                "equipped",
-                Box::new(|b| {
-                    b.equipped(10);
-                }),
-            ),
+            ("seed", tweak(|b| b.seed(7))),
+            ("area", tweak(|b| b.area(Area::square(300.0)))),
+            ("robots", tweak(|b| b.robots(40))),
+            ("equipped", tweak(|b| b.equipped(10))),
             (
                 "duration",
-                Box::new(|b| {
-                    b.duration(SimDuration::from_secs(900));
-                }),
+                tweak(|b| b.duration(SimDuration::from_secs(900))),
             ),
             (
                 "beacon_period",
-                Box::new(|b| {
-                    b.beacon_period(SimDuration::from_secs(50));
-                }),
+                tweak(|b| b.beacon_period(SimDuration::from_secs(50))),
             ),
             (
                 "transmit_window",
-                Box::new(|b| {
-                    b.transmit_window(SimDuration::from_secs(2));
-                }),
+                tweak(|b| b.transmit_window(SimDuration::from_secs(2))),
             ),
-            (
-                "beacons_per_window",
-                Box::new(|b| {
-                    b.beacons_per_window(2);
-                }),
-            ),
-            (
-                "v_min",
-                Box::new(|b| {
-                    b.v_min(0.2);
-                }),
-            ),
-            (
-                "v_max",
-                Box::new(|b| {
-                    b.v_max(3.0);
-                }),
-            ),
+            ("beacons_per_window", tweak(|b| b.beacons_per_window(2))),
+            ("v_min", tweak(|b| b.v_min(0.2))),
+            ("v_max", tweak(|b| b.v_max(3.0))),
             (
                 "static_team",
-                Box::new(|b| {
-                    b.static_team().multicast(MulticastProtocol::Flood);
-                }),
+                tweak(|b| b.static_team().multicast(MulticastProtocol::Flood)),
             ),
-            (
-                "mode",
-                Box::new(|b| {
-                    b.mode(EstimatorMode::OdometryOnly);
-                }),
-            ),
-            (
-                "rf_algorithm",
-                Box::new(|b| {
-                    b.rf_algorithm(RfAlgorithm::Ekf);
-                }),
-            ),
-            (
-                "coordination",
-                Box::new(|b| {
-                    b.coordination(false);
-                }),
-            ),
-            (
-                "grid_resolution",
-                Box::new(|b| {
-                    b.grid_resolution(4.0);
-                }),
-            ),
+            ("mode", tweak(|b| b.mode(EstimatorMode::OdometryOnly))),
+            ("rf_algorithm", tweak(|b| b.rf_algorithm(RfAlgorithm::Ekf))),
+            ("coordination", tweak(|b| b.coordination(false))),
+            ("grid_resolution", tweak(|b| b.grid_resolution(4.0))),
             (
                 "channel",
-                Box::new(|b| {
+                tweak(|b| {
                     b.channel(ChannelParams {
                         tx_power_dbm: 18.0,
                         ..ChannelParams::default()
-                    });
+                    })
                 }),
             ),
             (
                 "energy",
-                Box::new(|b| {
+                tweak(|b| {
                     b.energy(EnergyParams {
                         idle_mw: 901.0,
                         ..EnergyParams::default()
-                    });
+                    })
                 }),
             ),
             (
                 "odometry",
-                Box::new(|b| {
+                tweak(|b| {
                     b.odometry(OdometryConfig {
                         displacement_sigma: 0.17,
                         ..OdometryConfig::default()
-                    });
+                    })
                 }),
             ),
             (
                 "mesh",
-                Box::new(|b| {
+                tweak(|b| {
                     b.mesh(OdmrpConfig {
                         max_hops: 9,
                         ..OdmrpConfig::default()
-                    });
+                    })
                 }),
             ),
             (
                 "multicast",
-                Box::new(|b| {
-                    b.multicast(MulticastProtocol::Odmrp);
-                }),
+                tweak(|b| b.multicast(MulticastProtocol::Odmrp)),
             ),
-            (
-                "sync_enabled",
-                Box::new(|b| {
-                    b.sync_enabled(false);
-                }),
-            ),
-            (
-                "clock_skew_ppm",
-                Box::new(|b| {
-                    b.clock_skew_ppm(99.0);
-                }),
-            ),
+            ("sync_enabled", tweak(|b| b.sync_enabled(false))),
+            ("clock_skew_ppm", tweak(|b| b.clock_skew_ppm(99.0))),
             (
                 "guard_band",
-                Box::new(|b| {
-                    b.guard_band(SimDuration::from_secs(2));
-                }),
+                tweak(|b| b.guard_band(SimDuration::from_secs(2))),
             ),
             (
                 "snapshots",
-                Box::new(|b| {
-                    b.snapshots([SimTime::from_secs(100)]);
-                }),
+                tweak(|b| b.snapshots([SimTime::from_secs(100)])),
             ),
-            (
-                "relay_beaconing",
-                Box::new(|b| {
-                    b.relay_beaconing(true);
-                }),
-            ),
-            (
-                "packet_loss",
-                Box::new(|b| {
-                    b.packet_loss(0.1);
-                }),
-            ),
+            ("relay_beaconing", tweak(|b| b.relay_beaconing(true))),
+            ("packet_loss", tweak(|b| b.packet_loss(0.1))),
             (
                 "faults",
-                Box::new(move |b| {
+                tweak(move |b| {
                     let plan = FaultPlan::preset("burst30", default_duration, 50)
                         .expect("burst30 is a canned preset");
-                    b.faults(plan);
+                    b.faults(plan)
                 }),
             ),
             (
                 "failover_missed_periods",
-                Box::new(|b| {
-                    b.failover_missed_periods(5);
-                }),
+                tweak(|b| b.failover_missed_periods(5)),
             ),
             (
                 "entropy_watchdog_frac",
-                Box::new(|b| {
-                    b.entropy_watchdog_frac(0.5);
-                }),
+                tweak(|b| b.entropy_watchdog_frac(0.5)),
             ),
-            (
-                "outlier_gate_m",
-                Box::new(|b| {
-                    b.outlier_gate_m(75.0);
-                }),
-            ),
+            ("outlier_gate_m", tweak(|b| b.outlier_gate_m(75.0))),
             (
                 "grid_pipeline",
-                Box::new(|b| {
+                tweak(|b| {
                     b.grid_pipeline(GridPipeline {
                         adaptive: true,
                         adaptive_coarse_factor: 8,
                         ..GridPipeline::default()
-                    });
+                    })
                 }),
             ),
-            (
-                "grid_adaptive",
-                Box::new(|b| {
-                    b.grid_adaptive(true);
-                }),
-            ),
+            ("grid_adaptive", tweak(|b| b.grid_adaptive(true))),
         ];
         let mut seen: Vec<(&str, u64)> = vec![(
             "default",
@@ -2686,7 +1441,7 @@ mod tests {
     fn fingerprints_are_schema_versioned() {
         use cocoa_sim::snapshot::SNAPSHOT_SCHEMA_VERSION;
         let s = Scenario::builder().build();
-        let full = encode_scenario(&s);
+        let full = codec::encode(&s);
         let immutable = encode_scenario_immutable(&s);
         assert_eq!(
             scenario_fingerprint(&s),

@@ -9,13 +9,19 @@
 
 use std::sync::OnceLock;
 
+use cocoa_core::executor::manifest::{decode_metrics, ManifestError, SweepManifest, MANIFEST_KIND};
 use cocoa_core::metrics::RunMetrics;
 use cocoa_core::runner::SimRun;
 use cocoa_core::scenario::Scenario;
+use cocoa_core::world::mesh::make_backend;
 use cocoa_localization::kernel::GridPipeline;
+use cocoa_multicast::odmrp::OdmrpConfig;
 use cocoa_multicast::protocol::MulticastProtocol;
+use cocoa_net::packet::{GroupId, NodeId};
 use cocoa_sim::faults::FaultPlan;
-use cocoa_sim::snapshot::SnapshotError;
+use cocoa_sim::snapshot::{
+    put_bool, put_u32, put_u64, put_usize, Snapshot, SnapshotError, SnapshotWriter,
+};
 use cocoa_sim::telemetry::{Telemetry, TelemetryLevel};
 use cocoa_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -328,5 +334,227 @@ proptest! {
         let bytes = pristine();
         let cut = (cut_seed as usize) % bytes.len();
         prop_assert!(SimRun::resume(&bytes[..cut]).is_err());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Hand-built sections spliced into a real capture.
+
+/// The section tags of a run snapshot, in file order.
+const SECTION_TAGS: [&str; 7] = [
+    "scenario",
+    "engine",
+    "rngs",
+    "medium",
+    "robots",
+    "world",
+    "telemetry",
+];
+
+/// `pristine()` with section `tag` replaced by `payload`, re-sealed so
+/// every CRC is valid: only the decoder's own checks stand in the way.
+fn splice(tag: &str, payload: Vec<u8>) -> Vec<u8> {
+    let snap = Snapshot::parse(pristine()).expect("pristine snapshot parses");
+    let mut w = SnapshotWriter::new(snap.meta().to_string());
+    for t in SECTION_TAGS {
+        let original = snap.sections().iter().find(|s| s.tag == t);
+        let original = original.expect("capture holds every section");
+        let body = if t == tag {
+            payload.clone()
+        } else {
+            original.payload.clone()
+        };
+        w.push_section(t, body);
+    }
+    w.finish()
+}
+
+/// An engine section paused at `pristine()`'s instant (20 s) whose queue
+/// holds exactly `events`, each an encoded event due at 21 s.
+fn engine_section(events: &[Vec<u8>]) -> Vec<u8> {
+    let mut b = Vec::new();
+    put_u64(&mut b, 20_000_000); // now
+    put_u64(&mut b, DURATION_S * 1_000_000); // horizon
+    put_bool(&mut b, false); // stopped
+    put_u64(&mut b, 0); // processed
+    put_u64(&mut b, events.len() as u64); // next_seq
+    put_usize(&mut b, events.len()); // peak_len
+    put_usize(&mut b, events.len());
+    for (seq, event) in events.iter().enumerate() {
+        put_u64(&mut b, 21_000_000);
+        put_u64(&mut b, seq as u64);
+        b.extend_from_slice(event);
+    }
+    b
+}
+
+/// Encodes one engine event: its tag, then `fields`.
+fn event(tag: u8, fields: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut b = vec![tag];
+    fields(&mut b);
+    b
+}
+
+fn assert_malformed<T>(outcome: Result<T, SnapshotError>, what: &str) {
+    match outcome {
+        Err(SnapshotError::Malformed { .. }) => {}
+        Err(other) => panic!("{what}: expected Malformed, got {other}"),
+        Ok(_) => panic!("{what}: hostile input was accepted"),
+    }
+}
+
+#[test]
+fn queued_events_naming_absent_robots_are_rejected() {
+    // `pristine()` is a six-robot team, so robot 6 does not exist. Each
+    // event below reached a handler that indexes `world.robots` (or the
+    // error snapshots) unchecked and panicked mid-run.
+    let wake = |robot: usize| {
+        event(3, |b| {
+            put_usize(b, robot);
+            put_u64(b, 2);
+            put_u32(b, 0);
+        })
+    };
+    // The fixture itself is sound: the same queue with robot 5 restores.
+    let control = splice("engine", engine_section(&[wake(5)]));
+    assert!(
+        SimRun::resume(&control).is_ok(),
+        "in-range control must restore"
+    );
+
+    let hostile = [
+        ("robot wake", wake(6)),
+        (
+            "robot window end",
+            event(4, |b| {
+                put_usize(b, 6);
+                put_u64(b, 2);
+                put_u32(b, 0);
+            }),
+        ),
+        (
+            "beacon transmit",
+            event(5, |b| {
+                put_usize(b, 6);
+                b.push(0);
+            }),
+        ),
+        (
+            "tx end receiver",
+            event(6, |b| {
+                put_u64(b, 0);
+                put_usize(b, 2);
+                put_usize(b, 0);
+                put_usize(b, 6);
+            }),
+        ),
+        (
+            "mesh reply",
+            event(7, |b| {
+                put_usize(b, 6);
+                put_u32(b, 0);
+            }),
+        ),
+        (
+            "mesh rebroadcast",
+            event(8, |b| {
+                put_usize(b, 6);
+                put_u32(b, 0);
+                put_u32(b, 1);
+            }),
+        ),
+        (
+            "crash fault",
+            event(11, |b| {
+                b.push(0);
+                put_usize(b, 6);
+            }),
+        ),
+        // No snapshot times are scheduled, so there is no slot 0.
+        ("error snapshot", event(10, |b| put_usize(b, 0))),
+    ];
+    for (what, e) in hostile {
+        assert_malformed(
+            SimRun::resume(&splice("engine", engine_section(&[e]))),
+            what,
+        );
+    }
+}
+
+/// A `Full` telemetry section with a ring of `capacity` holding
+/// `events` window-start events.
+fn telemetry_section(capacity: u64, events: u64) -> Vec<u8> {
+    let mut b = vec![3]; // Full
+    put_bool(&mut b, true);
+    put_u64(&mut b, capacity);
+    put_u64(&mut b, events); // emitted
+    put_u64(&mut b, 0); // dropped
+    put_bool(&mut b, false); // no sample interval
+    put_usize(&mut b, events as usize);
+    for i in 0..events {
+        put_u64(&mut b, i * 1_000_000);
+        put_u64(&mut b, i);
+        b.push(0); // WindowStart
+        put_u64(&mut b, i);
+    }
+    put_usize(&mut b, 0); // counters
+    put_usize(&mut b, 0); // histograms
+    b
+}
+
+#[test]
+fn an_over_full_telemetry_ring_is_rejected() {
+    // A ring only evicts when it is exactly full, so one restored past
+    // its capacity would grow without bound and stop counting drops.
+    let full = splice("telemetry", telemetry_section(2, 2));
+    assert!(SimRun::resume(&full).is_ok(), "a full ring must restore");
+    let over = splice("telemetry", telemetry_section(2, 3));
+    assert_malformed(SimRun::resume(&over), "over-full ring");
+}
+
+#[test]
+fn hostile_length_prefixes_are_rejected_before_allocating() {
+    // Every length-prefixed sequence checks its count against the bytes
+    // left before reserving anything, so a count of u64::MAX (or one
+    // item more than could fit) is a typed error, not an allocation.
+    let padding = [0u8; 64];
+    for count in [u64::MAX, padding.len() as u64 + 1] {
+        let mut prefix = Vec::new();
+        put_u64(&mut prefix, count);
+        prefix.extend_from_slice(&padding);
+
+        assert_malformed(decode_metrics(&prefix), "run metrics");
+
+        let mut w = SnapshotWriter::new(format!("{{\"kind\":\"{MANIFEST_KIND}\"}}"));
+        w.push_section("sweep", prefix.clone());
+        match SweepManifest::decode(&w.finish()) {
+            Err(ManifestError::Corrupt(SnapshotError::Malformed { .. })) => {}
+            other => panic!("manifest with {count} points: {other:?}"),
+        }
+
+        // An empty queue's section ends with its count: replace that.
+        let mut engine = engine_section(&[]);
+        let header = engine.len() - 8;
+        engine.truncate(header);
+        engine.extend_from_slice(&prefix);
+        assert_malformed(SimRun::resume(&splice("engine", engine)), "engine queue");
+
+        for protocol in MulticastProtocol::ALL {
+            let mut mesh = make_backend(
+                protocol,
+                NodeId(0),
+                GroupId(1),
+                true,
+                OdmrpConfig::default(),
+            );
+            // ODMRP and MRMM open with the forwarding-group deadline
+            // (`None`), then the route list; flooding opens with its
+            // dedup cache.
+            let state = match protocol {
+                MulticastProtocol::Flood => prefix.clone(),
+                _ => [&[0u8][..], &prefix].concat(),
+            };
+            assert_malformed(mesh.load_state(&state), protocol.as_str());
+        }
     }
 }
