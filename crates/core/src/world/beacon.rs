@@ -5,6 +5,7 @@
 
 use bytes::Bytes;
 use cocoa_localization::bayes::ObservationResult;
+use cocoa_localization::estimator::OutlierGate;
 use cocoa_net::geometry::Point;
 use cocoa_net::mac::{ReceptionOutcome, TxId};
 use cocoa_net::packet::{Packet, Payload};
@@ -197,10 +198,13 @@ fn dispatch(
                 let result = rf.observe_beacon_checked(
                     &world.table,
                     &world.radial,
+                    &mut world.beacon_field,
                     *position,
                     rssi,
-                    reference,
-                    gate,
+                    OutlierGate {
+                        reference,
+                        tolerance_m: gate,
+                    },
                 );
                 world.telemetry.span_end(world.spans.grid_update, sp);
                 if result == ObservationResult::Outlier {

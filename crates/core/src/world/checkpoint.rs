@@ -31,7 +31,7 @@ use cocoa_localization::ekf::EkfSnapshot;
 use cocoa_localization::estimator::{
     EstimatorCheckpoint, EstimatorMode, RfAlgorithm, WindowStats, WindowedRfEstimator,
 };
-use cocoa_localization::grid::GridConfig;
+use cocoa_localization::grid::{DistanceField, GridConfig};
 use cocoa_localization::kernel::GridPipeline;
 use cocoa_localization::multilateration::RangeObservation;
 use cocoa_mobility::motion::RobotMotion;
@@ -498,9 +498,11 @@ impl RobotRecord {
                 Odometer::from_checkpoint(self.odometer),
             ),
             radio: Radio::from_checkpoint(self.radio),
-            rf: self.rf.map(|c| {
-                WindowedRfEstimator::from_checkpoint_with(grid, scenario.grid_pipeline, c)
-            }),
+            rf: self
+                .rf
+                .map(|c| WindowedRfEstimator::from_checkpoint_with(grid, scenario.grid_pipeline, c))
+                .transpose()
+                .map_err(|e| malformed(format!("robot {index} estimator: {e}")))?,
             mesh,
             clock: DriftingClock::from_checkpoint(skew, error_s, anchor, missed, stale),
             has_fix: self.has_fix,
@@ -823,6 +825,7 @@ fn decode(
         channel,
         table,
         radial,
+        beacon_field: DistanceField::new(),
         medium,
         robots,
         move_rngs,

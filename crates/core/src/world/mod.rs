@@ -37,7 +37,7 @@ pub(crate) mod window;
 use cocoa_localization::bayes::radial_constraints_for_grid;
 use cocoa_localization::estimator::EstimatorMode;
 use cocoa_localization::estimator::WindowedRfEstimator;
-use cocoa_localization::grid::GridConfig;
+use cocoa_localization::grid::{DistanceField, GridConfig};
 use cocoa_mobility::motion::RobotMotion;
 use cocoa_mobility::waypoint::WaypointConfig;
 use cocoa_net::calibration::{calibrate, CalibrationConfig, PdfTable, RadialConstraintTable};
@@ -84,6 +84,9 @@ pub(crate) struct WorldState {
     /// Pre-sampled radial constraint profiles (one per calibrated RSSI
     /// bin, floor baked in), shared by every robot's Bayesian update.
     pub(crate) radial: RadialConstraintTable,
+    /// The distance-field memo of the beacon being delivered: built by its
+    /// first receiver, read by the rest. Derived data, never checkpointed.
+    pub(crate) beacon_field: DistanceField,
     pub(crate) medium: Medium,
     pub(crate) robots: Vec<Robot>,
     pub(crate) move_rngs: Vec<DetRng>,
@@ -325,6 +328,7 @@ pub(crate) fn setup_world(scenario: &Scenario, mut telemetry: Telemetry) -> Worl
         channel,
         table,
         radial,
+        beacon_field: DistanceField::new(),
         medium: Medium::new(),
         robots,
         move_rngs,

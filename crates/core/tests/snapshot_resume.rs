@@ -558,3 +558,37 @@ fn hostile_length_prefixes_are_rejected_before_allocating() {
         }
     }
 }
+
+/// The scenario section of a time-zero capture of `s`.
+fn scenario_section(s: &Scenario) -> Vec<u8> {
+    let bytes = SimRun::new(s, Telemetry::off()).capture();
+    let snap = Snapshot::parse(&bytes).expect("own capture parses");
+    let section = snap.sections().iter().find(|s| s.tag == "scenario");
+    section.expect("capture holds a scenario").payload.clone()
+}
+
+#[test]
+fn posteriors_that_do_not_fit_the_scenario_are_rejected() {
+    // `pristine()` holds 2 m dense posteriors (100 × 100 cells). Each
+    // spliced scenario below asked the estimator restore for another
+    // posterior shape, and the restore panicked on the cell or tile count.
+    let base = scenario(7, MulticastProtocol::Odmrp, "chaos");
+    // In range: 2.01 m cells still tile the area 100 × 100, so the
+    // posteriors fit and the run restores and finishes.
+    let mut same_count = base.clone();
+    same_count.grid_resolution_m = 2.01;
+    let control = SimRun::resume(&splice("scenario", scenario_section(&same_count)));
+    control
+        .expect("a posterior with the grid's cell count restores")
+        .finish();
+
+    let mut coarse = base.clone();
+    coarse.grid_resolution_m = 4.0;
+    let spliced = splice("scenario", scenario_section(&coarse));
+    assert_malformed(SimRun::resume(&spliced), "4 m grid");
+
+    let mut adaptive = base.clone();
+    adaptive.grid_pipeline.adaptive = true;
+    let spliced = splice("scenario", scenario_section(&adaptive));
+    assert_malformed(SimRun::resume(&spliced), "adaptive pipeline");
+}

@@ -393,27 +393,33 @@ impl AdaptiveGrid {
 
     /// Restores checkpointed tile state.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the tile count or any refined tile's cell count does not
-    /// match this grid's layout.
-    pub fn restore_tiles(&mut self, tiles: Vec<Tile>) {
-        assert_eq!(
-            tiles.len(),
-            self.tiles.len(),
-            "checkpointed tile count mismatch"
-        );
+    /// Returns a message if the tile count or any refined tile's cell
+    /// count does not match this grid's layout; the posterior is then
+    /// left untouched.
+    pub fn restore_tiles(&mut self, tiles: Vec<Tile>) -> Result<(), String> {
+        if tiles.len() != self.tiles.len() {
+            return Err(format!(
+                "checkpointed posterior has {} tiles, the grid has {}",
+                tiles.len(),
+                self.tiles.len()
+            ));
+        }
         for (i, t) in tiles.iter().enumerate() {
             if let Tile::Refined(cells) = t {
                 let (txi, tyi) = (i % self.tx, i / self.tx);
-                assert_eq!(
-                    cells.len(),
-                    self.tile_cells(txi, tyi),
-                    "checkpointed tile {i} has wrong cell count"
-                );
+                let expected = self.tile_cells(txi, tyi);
+                if cells.len() != expected {
+                    return Err(format!(
+                        "checkpointed tile {i} has {} cells, the grid's has {expected}",
+                        cells.len()
+                    ));
+                }
             }
         }
         self.tiles = tiles;
+        Ok(())
     }
 }
 
@@ -507,7 +513,7 @@ mod tests {
         g.apply_radial_constraint(Point::new(70.0, 130.0), &profile(25.0, 3.0));
         let tiles = g.tiles().to_vec();
         let mut fresh = grid();
-        fresh.restore_tiles(tiles);
+        fresh.restore_tiles(tiles).expect("same layout");
         assert_eq!(fresh, g);
         assert_eq!(
             fresh.density_at(Point::new(70.0, 105.0)),
@@ -516,9 +522,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "tile count")]
     fn restore_rejects_wrong_layout() {
         let mut g = grid();
-        g.restore_tiles(vec![Tile::Coarse(1.0)]);
+        let before = g.clone();
+        let err = g.restore_tiles(vec![Tile::Coarse(1.0)]).unwrap_err();
+        assert!(err.contains("tiles"), "{err}");
+        let mut tiles = g.tiles().to_vec();
+        tiles[0] = Tile::Refined(vec![0.0; 3]);
+        let err = g.restore_tiles(tiles).unwrap_err();
+        assert!(err.contains("tile 0"), "{err}");
+        assert_eq!(
+            g, before,
+            "a refused restore leaves the posterior untouched"
+        );
     }
 }

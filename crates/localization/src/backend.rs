@@ -30,7 +30,7 @@ use crate::bayes::{
 };
 use crate::ekf::{EkfConfig, EkfLocalizer, EkfSnapshot, EkfUpdate};
 use crate::estimator::RfAlgorithm;
-use crate::grid::GridConfig;
+use crate::grid::{DistanceField, GridConfig};
 use crate::kernel::GridPipeline;
 use crate::multilateration::{Multilaterator, RangeObservation};
 
@@ -64,10 +64,15 @@ pub trait RfBackend {
     /// cache (the zero-allocation fast path). Backends without a radial
     /// form fall back to the PDF table, so the two arguments must describe
     /// the same calibration.
+    ///
+    /// `field` is the run's distance-field memo for this beacon's centre,
+    /// shared by every receiver of the broadcast; `None` makes a grid
+    /// backend use its own (see [`DistanceField`]).
     fn observe_beacon_radial(
         &mut self,
         table: &PdfTable,
         radial: &RadialConstraintTable,
+        field: Option<&mut DistanceField>,
         beacon_pos: Point,
         rssi: Dbm,
     ) -> ObservationResult;
@@ -194,10 +199,11 @@ impl RfBackend for BayesianLocalizer {
         &mut self,
         _table: &PdfTable,
         radial: &RadialConstraintTable,
+        field: Option<&mut DistanceField>,
         beacon_pos: Point,
         rssi: Dbm,
     ) -> ObservationResult {
-        BayesianLocalizer::observe_beacon_radial(self, radial, beacon_pos, rssi)
+        self.observe_radial(radial, field, beacon_pos, rssi)
     }
 
     fn estimate(&self) -> Option<Point> {
@@ -231,7 +237,7 @@ impl RfBackend for BayesianLocalizer {
 
     fn checkpoint(&self) -> BackendCheckpoint {
         let (cells, tiles) = match self.posterior() {
-            Posterior::Dense(g) => (g.cells().to_vec(), Vec::new()),
+            Posterior::Dense(g) => (g.cells().collect(), Vec::new()),
             Posterior::Adaptive(g) => (Vec::new(), g.tiles().to_vec()),
         };
         BackendCheckpoint::Bayes {
@@ -270,6 +276,7 @@ impl RfBackend for Multilaterator {
         &mut self,
         table: &PdfTable,
         _radial: &RadialConstraintTable,
+        _field: Option<&mut DistanceField>,
         beacon_pos: Point,
         rssi: Dbm,
     ) -> ObservationResult {
@@ -380,6 +387,7 @@ impl RfBackend for EkfBackend {
         &mut self,
         table: &PdfTable,
         _radial: &RadialConstraintTable,
+        _field: Option<&mut DistanceField>,
         beacon_pos: Point,
         rssi: Dbm,
     ) -> ObservationResult {

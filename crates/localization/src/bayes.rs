@@ -16,7 +16,7 @@ use cocoa_net::geometry::Point;
 use cocoa_net::rssi::Dbm;
 
 use crate::adaptive::{AdaptiveGrid, Tile};
-use crate::grid::{ConstraintOutcome, GridConfig, PositionGrid};
+use crate::grid::{ConstraintOutcome, DistanceField, GridConfig, PositionGrid};
 use crate::kernel::GridPipeline;
 
 /// The paper requires at least this many beacons before estimating.
@@ -238,11 +238,24 @@ impl BayesianLocalizer {
     /// Incorporates one beacon through the radial fast path: the constraint
     /// comes from `radial`'s pre-sampled profile for the observed RSSI
     /// (same bin-fallback rule as [`PdfTable::lookup`]) and is applied
-    /// through the lane-packed kernel (or the adaptive grid) — no per-cell
+    /// through the fused kernel (or the adaptive grid) — no per-cell
     /// `exp`, no allocation.
     pub fn observe_beacon_radial(
         &mut self,
         radial: &RadialConstraintTable,
+        beacon_pos: Point,
+        rssi: Dbm,
+    ) -> ObservationResult {
+        self.observe_radial(radial, None, beacon_pos, rssi)
+    }
+
+    /// [`observe_beacon_radial`](Self::observe_beacon_radial) reading the
+    /// dense grid's cell distances from `field` (the grid's own memo when
+    /// `None`). The adaptive grid ignores it.
+    pub(crate) fn observe_radial(
+        &mut self,
+        radial: &RadialConstraintTable,
+        field: Option<&mut DistanceField>,
         beacon_pos: Point,
         rssi: Dbm,
     ) -> ObservationResult {
@@ -255,7 +268,10 @@ impl BayesianLocalizer {
             Posterior::Dense(grid) => {
                 stats.kernel_simd += 1;
                 stats.cells_touched += grid.num_cells() as u64;
-                grid.apply_radial_constraint(beacon_pos, profile)
+                match field {
+                    Some(field) => grid.apply_radial_constraint_with(beacon_pos, profile, field),
+                    None => grid.apply_radial_constraint(beacon_pos, profile),
+                }
             }
             Posterior::Adaptive(grid) => {
                 let (outcome, op) = grid.apply_radial_constraint(beacon_pos, profile);
@@ -355,44 +371,31 @@ impl BayesianLocalizer {
         }
     }
 
-    /// Rebuilds a localizer from checkpointed state: the posterior cells
-    /// (see [`PositionGrid::cells`]) plus the beacon counters, under the
-    /// default pipeline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cells` does not match the grid implied by `config`.
-    pub fn from_checkpoint(
-        config: GridConfig,
-        cells: &[f64],
-        beacons_applied: u32,
-        beacons_seen: u32,
-    ) -> Self {
-        let mut loc = Self::with_pipeline(config, GridPipeline::default());
-        loc.restore_posterior_cells(cells);
-        loc.beacons_applied = beacons_applied;
-        loc.beacons_seen = beacons_seen;
-        loc
-    }
-
     /// Restores checkpointed dense posterior cells (checkpoint plumbing).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the adaptive pipeline is active or the cell count differs.
-    pub fn restore_posterior_cells(&mut self, cells: &[f64]) {
-        self.dense_mut().restore_cells(cells);
+    /// Returns a message if the adaptive pipeline is active or the cell
+    /// count differs; the posterior is then left untouched.
+    pub fn restore_posterior_cells(&mut self, cells: &[f64]) -> Result<(), String> {
+        match self.posterior_mut().0 {
+            Posterior::Dense(g) => g.restore_cells(cells),
+            Posterior::Adaptive(_) => {
+                Err("dense posterior cells for an adaptive-pipeline localizer".into())
+            }
+        }
     }
 
     /// Restores checkpointed adaptive tile state (checkpoint plumbing).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the adaptive pipeline is not active or the layout differs.
-    pub fn restore_posterior_tiles(&mut self, tiles: Vec<Tile>) {
+    /// Returns a message if the adaptive pipeline is not active or the
+    /// layout differs; the posterior is then left untouched.
+    pub fn restore_posterior_tiles(&mut self, tiles: Vec<Tile>) -> Result<(), String> {
         match self.posterior_mut().0 {
             Posterior::Adaptive(g) => g.restore_tiles(tiles),
-            Posterior::Dense(_) => panic!("tile restore requires the adaptive posterior"),
+            Posterior::Dense(_) => Err("adaptive tiles for a dense-pipeline localizer".into()),
         }
     }
 

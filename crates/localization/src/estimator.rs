@@ -25,7 +25,7 @@ use cocoa_net::rssi::Dbm;
 
 use crate::backend::{BackendCheckpoint, EkfBackend, RfBackend};
 use crate::bayes::{BayesianLocalizer, GridStats, ObservationResult};
-use crate::grid::GridConfig;
+use crate::grid::{DistanceField, GridConfig};
 use crate::kernel::GridPipeline;
 use crate::multilateration::{MultilaterationConfig, Multilaterator};
 
@@ -192,6 +192,17 @@ pub enum WindowOutcome {
     NoFix,
 }
 
+/// The claimed-distance outlier gate of
+/// [`WindowedRfEstimator::observe_beacon_checked`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OutlierGate {
+    /// The robot's own position belief, if it has one.
+    pub reference: Option<Point>,
+    /// Largest tolerated gap between the claimed and the RSSI-implied
+    /// distance, metres; `0.0` disables the gate.
+    pub tolerance_m: f64,
+}
+
 /// The per-robot windowed RF estimator.
 ///
 /// Drives an [`RfBackend`] through the CoCoA window lifecycle:
@@ -339,6 +350,19 @@ impl WindowedRfEstimator {
         beacon_pos: Point,
         rssi: Dbm,
     ) -> ObservationResult {
+        self.observe_radial(table, radial, None, beacon_pos, rssi)
+    }
+
+    /// [`observe_beacon_radial`](Self::observe_beacon_radial) with an
+    /// optional shared distance-field memo for the beacon's centre.
+    fn observe_radial(
+        &mut self,
+        table: &PdfTable,
+        radial: &RadialConstraintTable,
+        field: Option<&mut DistanceField>,
+        beacon_pos: Point,
+        rssi: Dbm,
+    ) -> ObservationResult {
         self.stats.beacons_seen += 1;
         if !self.in_window {
             return ObservationResult::Rejected;
@@ -346,7 +370,7 @@ impl WindowedRfEstimator {
         let r = self
             .backend
             .as_dyn_mut()
-            .observe_beacon_radial(table, radial, beacon_pos, rssi);
+            .observe_beacon_radial(table, radial, field, beacon_pos, rssi);
         self.account(r);
         r
     }
@@ -367,34 +391,36 @@ impl WindowedRfEstimator {
     /// Offers one received beacon through the radial fast path, first
     /// screening it against an outlier gate.
     ///
-    /// If `reference` is the robot's current position belief, the beacon's
-    /// claimed position implies a distance to us; the observed RSSI implies
-    /// another (the calibration PDF's mean). When the two disagree by more
-    /// than `gate_m` metres the beacon is almost certainly corrupt or lying
-    /// and is refused before any backend can be distorted by it. A `gate_m`
-    /// of `0.0`, a missing reference, or an uncalibrated RSSI disables the
-    /// check and the beacon flows through
-    /// [`WindowedRfEstimator::observe_beacon_radial`] unchanged.
+    /// If `gate.reference` is the robot's current position belief, the
+    /// beacon's claimed position implies a distance to us; the observed
+    /// RSSI implies another (the calibration PDF's mean). When the two
+    /// disagree by more than `gate.tolerance_m` metres the beacon is almost
+    /// certainly corrupt or lying and is refused before any backend can be
+    /// distorted by it. A tolerance of `0.0`, a missing reference, or an
+    /// uncalibrated RSSI disables the check and the beacon flows through
+    /// [`WindowedRfEstimator::observe_beacon_radial`] unchanged, with the
+    /// grid backend reading its cell distances from `field` — the memo
+    /// every receiver of one broadcast shares.
     pub fn observe_beacon_checked(
         &mut self,
         table: &PdfTable,
         radial: &RadialConstraintTable,
+        field: &mut DistanceField,
         beacon_pos: Point,
         rssi: Dbm,
-        reference: Option<Point>,
-        gate_m: f64,
+        gate: OutlierGate,
     ) -> ObservationResult {
-        if gate_m > 0.0 {
-            if let (Some(refp), Some(pdf)) = (reference, table.lookup(rssi)) {
+        if gate.tolerance_m > 0.0 {
+            if let (Some(refp), Some(pdf)) = (gate.reference, table.lookup(rssi)) {
                 let claimed = refp.distance_to(beacon_pos);
-                if !claimed.is_finite() || (claimed - pdf.mean()).abs() > gate_m {
+                if !claimed.is_finite() || (claimed - pdf.mean()).abs() > gate.tolerance_m {
                     self.stats.beacons_seen += 1;
                     self.stats.beacons_rejected_outlier += 1;
                     return ObservationResult::Outlier;
                 }
             }
         }
-        self.observe_beacon_radial(table, radial, beacon_pos, rssi)
+        self.observe_radial(table, radial, Some(field), beacon_pos, rssi)
     }
 
     /// Closes the window. Returns the fresh fix if the window produced one
@@ -497,7 +523,11 @@ impl WindowedRfEstimator {
     /// grid pipeline. The gridless backends are reconstructed with the
     /// default solver configuration, as
     /// [`WindowedRfEstimator::with_algorithm`] uses.
-    pub fn from_checkpoint(grid: GridConfig, c: EstimatorCheckpoint) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// As [`from_checkpoint_with`](Self::from_checkpoint_with).
+    pub fn from_checkpoint(grid: GridConfig, c: EstimatorCheckpoint) -> Result<Self, String> {
         Self::from_checkpoint_with(grid, GridPipeline::default(), c)
     }
 
@@ -506,15 +536,17 @@ impl WindowedRfEstimator {
     /// since the pipeline decides which posterior representation the
     /// checkpoint fields map onto.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the checkpoint's posterior representation (dense cells vs
-    /// adaptive tiles) does not match the pipeline's `adaptive` flag.
+    /// Returns a message if the checkpoint's posterior does not fit `grid`
+    /// and `pipeline`: dense cells under the adaptive pipeline or tiles
+    /// under the dense one, or a cell or tile count that differs from the
+    /// grid's.
     pub fn from_checkpoint_with(
         grid: GridConfig,
         pipeline: GridPipeline,
         c: EstimatorCheckpoint,
-    ) -> Self {
+    ) -> Result<Self, String> {
         let backend = match c.backend {
             BackendCheckpoint::Bayes {
                 posterior_cells,
@@ -525,9 +557,15 @@ impl WindowedRfEstimator {
             } => {
                 let mut b = BayesianLocalizer::with_pipeline(grid, pipeline);
                 if pipeline.adaptive {
-                    b.restore_posterior_tiles(adaptive_tiles);
+                    if !posterior_cells.is_empty() {
+                        return Err("dense posterior cells under the adaptive pipeline".into());
+                    }
+                    b.restore_posterior_tiles(adaptive_tiles)?;
                 } else {
-                    b.restore_posterior_cells(&posterior_cells);
+                    if !adaptive_tiles.is_empty() {
+                        return Err("adaptive tiles under the dense pipeline".into());
+                    }
+                    b.restore_posterior_cells(&posterior_cells)?;
                 }
                 b.restore_counters(beacons_applied, beacons_seen, grid_stats);
                 Backend::Bayes(Box::new(b))
@@ -543,12 +581,12 @@ impl WindowedRfEstimator {
                 last_odo,
             } => Backend::Ekf(EkfBackend::restore(grid, filter, window_applied, last_odo)),
         };
-        WindowedRfEstimator {
+        Ok(WindowedRfEstimator {
             backend,
             last_fix: c.last_fix,
             in_window: c.in_window,
             stats: c.stats,
-        }
+        })
     }
 }
 
@@ -670,16 +708,20 @@ mod tests {
         );
         est.begin_window();
         let reference = Some(Point::new(100.0, 100.0));
+        let mut field = DistanceField::new();
         // The beacon claims to be 5 m away, but its RSSI says ~80 m: a
         // corrupted coordinate field.
         let lying_rssi = ch.mean_rssi(80.0);
         let r = est.observe_beacon_checked(
             &table,
             &radial,
+            &mut field,
             Point::new(105.0, 100.0),
             lying_rssi,
-            reference,
-            40.0,
+            OutlierGate {
+                reference,
+                tolerance_m: 40.0,
+            },
         );
         assert_eq!(r, ObservationResult::Outlier);
         assert_eq!(est.stats().beacons_rejected_outlier, 1);
@@ -689,20 +731,26 @@ mod tests {
         let r = est.observe_beacon_checked(
             &table,
             &radial,
+            &mut field,
             Point::new(105.0, 100.0),
             honest_rssi,
-            reference,
-            40.0,
+            OutlierGate {
+                reference,
+                tolerance_m: 40.0,
+            },
         );
         assert_eq!(r, ObservationResult::Applied);
         // Gate 0.0 disables the check entirely.
         let r = est.observe_beacon_checked(
             &table,
             &radial,
+            &mut field,
             Point::new(105.0, 100.0),
             lying_rssi,
-            reference,
-            0.0,
+            OutlierGate {
+                reference,
+                tolerance_m: 0.0,
+            },
         );
         assert_ne!(r, ObservationResult::Outlier);
     }
@@ -721,14 +769,18 @@ mod tests {
         assert_eq!(est.algorithm(), RfAlgorithm::Ekf);
         est.begin_window();
         let reference = Some(Point::new(100.0, 100.0));
+        let mut field = DistanceField::new();
         let lying_rssi = ch.mean_rssi(80.0);
         let r = est.observe_beacon_checked(
             &table,
             &radial,
+            &mut field,
             Point::new(105.0, 100.0),
             lying_rssi,
-            reference,
-            40.0,
+            OutlierGate {
+                reference,
+                tolerance_m: 40.0,
+            },
         );
         assert_eq!(r, ObservationResult::Outlier);
         assert_eq!(est.stats().beacons_rejected_outlier, 1);
@@ -739,10 +791,13 @@ mod tests {
         let r = est.observe_beacon_checked(
             &table,
             &radial,
+            &mut field,
             Point::new(105.0, 100.0),
             honest_rssi,
-            reference,
-            40.0,
+            OutlierGate {
+                reference,
+                tolerance_m: 40.0,
+            },
         );
         assert_eq!(r, ObservationResult::Applied);
         assert_eq!(est.ekf_counters(), Some((1, 0)));
@@ -802,7 +857,7 @@ mod tests {
             est.begin_window(); // leave a window open: in_window must survive
             let c = est.checkpoint();
             assert_eq!(c.algorithm(), algorithm);
-            let restored = WindowedRfEstimator::from_checkpoint(grid, c);
+            let restored = WindowedRfEstimator::from_checkpoint(grid, c).expect("fits its grid");
             assert_eq!(restored, est, "{algorithm}: restore must be exact");
         }
     }

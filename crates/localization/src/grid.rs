@@ -58,6 +58,13 @@ pub enum ConstraintOutcome {
 
 /// A probability mass function over grid cells covering the area.
 ///
+/// The posterior is held as an unnormalized product `raw` and a pending
+/// normalization `scale`: cell `i` has probability `fl(raw[i] · scale)`.
+/// Every reader ([`cells`](Self::cells), [`mean`](Self::mean),
+/// [`entropy`](Self::entropy), equality, …) sees that normalized value,
+/// and the next update reads it as its prior, so renormalizing costs no
+/// pass of its own (see [`crate::kernel`]).
+///
 /// # Examples
 ///
 /// ```
@@ -77,49 +84,114 @@ pub struct PositionGrid {
     config: GridConfig,
     nx: usize,
     ny: usize,
-    /// Cell probabilities; row-major (`iy * nx + ix`), always summing to 1.
-    cells: Vec<f64>,
+    /// Unnormalized cell masses, row-major (`iy * nx + ix`).
+    raw: Vec<f64>,
+    /// The pending normalization: `1 / Σ raw` after an update, 1 after a
+    /// reset or restore.
+    scale: f64,
     /// Cell-centre x coordinates, indexed by `ix`.
     #[serde(skip)]
     xs: Vec<f64>,
     /// Cell-centre y coordinates, indexed by `iy`.
     #[serde(skip)]
     ys: Vec<f64>,
-    /// Reusable buffer for the unnormalized product during an update, so
-    /// the per-beacon hot path allocates nothing.
+    /// Reusable buffer the next product is written to; swapped with `raw`
+    /// when the update is applied, so the hot path allocates and copies
+    /// nothing.
     #[serde(skip)]
     scratch: Vec<f64>,
-    /// Reusable buffer of per-column squared x-distances to the current
-    /// constraint centre.
+    /// The distance-field memo of callers that bring none (see
+    /// [`apply_radial_constraint`](Self::apply_radial_constraint)).
     #[serde(skip)]
+    field: DistanceField,
+}
+
+/// The per-cell lattice coordinates `‖cell − centre‖ / step` of one
+/// constraint centre on one grid geometry: the part of a radial update
+/// that does not depend on the posterior.
+///
+/// Every receiver of a broadcast applies a constraint at the same centre,
+/// so a run keeps one field and hands it to each
+/// [`PositionGrid::apply_radial_constraint_with`]; only the first receiver
+/// pays the `sqrt`s. It is a single-entry memo keyed by the exact bits of
+/// (centre, grid geometry, profile step), so it is reused only where a
+/// rebuild would produce the same bits. Derived data: never checkpointed,
+/// compared or counted in [`GridStats`](crate::bayes::GridStats).
+#[derive(Debug, Clone, Default)]
+pub struct DistanceField {
+    /// Bits of (centre x, centre y, area x-min, area y-min, resolution,
+    /// nx, ny, inverse step) the field was built for.
+    key: Option<[u64; 8]>,
+    /// Lattice coordinates, row-major like the grid's cells.
+    t: Vec<f64>,
+    /// Per-column squared x-distances to the centre (build scratch).
     dx2: Vec<f64>,
+    /// Fields built so far (memo misses).
+    builds: u64,
 }
 
-/// Sums with four independent accumulators so the reduction is not one
-/// serial chain of additions (and can use SIMD adds). The rounding differs
-/// from a left-to-right sum by O(n·ε) — irrelevant at the posterior's
-/// tolerances.
-fn sum_4lane(xs: &[f64]) -> f64 {
-    let mut acc = [0.0f64; 4];
-    let chunks = xs.chunks_exact(4);
-    let rem = chunks.remainder();
-    for c in chunks {
-        acc[0] += c[0];
-        acc[1] += c[1];
-        acc[2] += c[2];
-        acc[3] += c[3];
+impl DistanceField {
+    /// An empty field; the first use builds it.
+    pub fn new() -> Self {
+        Self::default()
     }
-    (acc[0] + acc[1]) + (acc[2] + acc[3]) + rem.iter().sum::<f64>()
+
+    /// How many times the field has been (re)built — one per distinct
+    /// (centre, geometry, step) in a row.
+    pub fn builds(&self) -> u64 {
+        self.builds
+    }
+
+    /// Points the memo at `center` on `grid` at `inv_step`. Returns `true`
+    /// on a miss: the caller must then fill every row of `t` with
+    /// [`kernel::product_building_field`] (`dx2` is filled and `t`
+    /// sized).
+    fn claim(&mut self, grid: &PositionGrid, center: Point, inv_step: f64) -> bool {
+        let area = &grid.config.area;
+        let key = [
+            center.x.to_bits(),
+            center.y.to_bits(),
+            area.x_min.to_bits(),
+            area.y_min.to_bits(),
+            grid.config.resolution_m.to_bits(),
+            grid.nx as u64,
+            grid.ny as u64,
+            inv_step.to_bits(),
+        ];
+        if self.key == Some(key) {
+            return false;
+        }
+        fill_dx2(&mut self.dx2, &grid.xs, center.x);
+        self.t.resize(grid.raw.len(), 0.0);
+        self.key = Some(key);
+        self.builds += 1;
+        true
+    }
 }
 
-/// Equality is over the posterior itself; scratch buffers and the derived
-/// axis tables are excluded.
+/// Cells per block of the field-reading update: a multiple of 4 (so each
+/// block ends on a lane boundary) small enough that the block's product is
+/// still in L1 when [`kernel::LaneSum`] folds it.
+const BLOCK: usize = 256;
+
+/// Fills `dx2` with per-column squared x-distances to `cx`.
+fn fill_dx2(dx2: &mut Vec<f64>, xs: &[f64], cx: f64) {
+    dx2.clear();
+    dx2.extend(xs.iter().map(|&x| {
+        let dx = x - cx;
+        dx * dx
+    }));
+}
+
+/// Equality is over the normalized posterior itself; how it is split
+/// between `raw` and `scale`, the scratch buffers, the distance-field memo
+/// and the derived axis tables are excluded.
 impl PartialEq for PositionGrid {
     fn eq(&self, other: &Self) -> bool {
         self.config == other.config
             && self.nx == other.nx
             && self.ny == other.ny
-            && self.cells == other.cells
+            && self.cells().eq(other.cells())
     }
 }
 
@@ -141,11 +213,12 @@ impl PositionGrid {
             config,
             nx,
             ny,
-            cells: vec![1.0 / n as f64; n],
+            raw: vec![1.0 / n as f64; n],
+            scale: 1.0,
             xs,
             ys,
             scratch: Vec::with_capacity(n),
-            dx2: Vec::with_capacity(nx),
+            field: DistanceField::new(),
         }
     }
 
@@ -166,8 +239,9 @@ impl PositionGrid {
 
     /// Resets to the uniform prior.
     pub fn reset_uniform(&mut self) {
-        let v = 1.0 / self.cells.len() as f64;
-        self.cells.fill(v);
+        let v = 1.0 / self.raw.len() as f64;
+        self.raw.fill(v);
+        self.scale = 1.0;
     }
 
     /// Centre of cell `(ix, iy)`.
@@ -176,17 +250,26 @@ impl PositionGrid {
         Point::new(self.xs[ix], self.ys[iy])
     }
 
-    /// Commits the unnormalized product held in `scratch` (total mass
-    /// `total`) to the posterior, or rejects it as degenerate.
-    fn commit(&mut self, scratch: &[f64], total: f64) -> ConstraintOutcome {
-        if !total.is_finite() || total <= f64::MIN_POSITIVE * self.cells.len() as f64 {
+    /// Commits the unnormalized product in `product` (total mass `total`)
+    /// as the posterior, or rejects it as degenerate. Either way the
+    /// buffer that is not the posterior becomes the next scratch.
+    fn commit(&mut self, product: Vec<f64>, total: f64) -> ConstraintOutcome {
+        if !total.is_finite() || total <= f64::MIN_POSITIVE * self.raw.len() as f64 {
+            self.scratch = product;
             return ConstraintOutcome::Rejected;
         }
-        let inv_total = 1.0 / total;
-        for (dst, &v) in self.cells.iter_mut().zip(scratch) {
-            *dst = v * inv_total;
-        }
+        self.scratch = std::mem::replace(&mut self.raw, product);
+        self.scale = 1.0 / total;
         ConstraintOutcome::Applied
+    }
+
+    /// The scratch buffer sized to the grid. Every update path overwrites
+    /// all of it, so only the length is established; no zero-fill pass is
+    /// paid after the first call.
+    fn take_scratch(&mut self) -> Vec<f64> {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.resize(self.raw.len(), 0.0);
+        scratch
     }
 
     /// Multiplies `constraint(cell_center)` into every cell and
@@ -201,121 +284,144 @@ impl PositionGrid {
     /// untouched — if the product has (near-)zero total mass or is not
     /// finite.
     pub fn apply_constraint(&mut self, constraint: impl Fn(Point) -> f64) -> ConstraintOutcome {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        Self::reset_scratch(&mut scratch, self.cells.len());
+        let mut scratch = self.take_scratch();
         let mut total = 0.0;
         for (iy, out) in scratch.chunks_exact_mut(self.nx).enumerate() {
             let y = self.ys[iy];
-            let row = &self.cells[iy * self.nx..(iy + 1) * self.nx];
-            for ((dst, &cell), &x) in out.iter_mut().zip(row).zip(&self.xs) {
-                let v = cell * constraint(Point::new(x, y));
+            let row = &self.raw[iy * self.nx..(iy + 1) * self.nx];
+            for ((dst, &raw), &x) in out.iter_mut().zip(row).zip(&self.xs) {
+                let v = (raw * self.scale) * constraint(Point::new(x, y));
                 *dst = v;
                 total += v;
             }
         }
-        let outcome = self.commit(&scratch, total);
-        self.scratch = scratch;
-        outcome
-    }
-
-    /// The scratch-preparation idiom shared by the update paths: `clear` +
-    /// `resize` (zero-fill), amortized to a `memset` after the first call.
-    fn reset_scratch(scratch: &mut Vec<f64>, n: usize) {
-        scratch.clear();
-        scratch.resize(n, 0.0);
+        self.commit(scratch, total)
     }
 
     /// Multiplies a radial constraint — `profile.density(‖cell − center‖)`
-    /// — into every cell and renormalizes.
+    /// — into every cell and renormalizes, using the grid's own
+    /// distance-field memo.
     ///
-    /// The fast path of the Bayesian update: squared x-offsets are computed
-    /// once per column, squared y-offsets once per row, and each row runs
-    /// through the lane-packed [`kernel::radial_product_row`], which reads
-    /// the density from a pre-sampled 1-D [`RadialProfile`] instead of a
-    /// per-cell `exp`/histogram evaluation. All buffers are persistent, so
-    /// a beacon update allocates nothing.
+    /// Callers that apply the same centre to many posteriors (every
+    /// receiver of one broadcast) should share one [`DistanceField`]
+    /// through [`apply_radial_constraint_with`](Self::apply_radial_constraint_with)
+    /// instead; the result is the same either way.
+    pub fn apply_radial_constraint(
+        &mut self,
+        center: Point,
+        profile: &RadialProfile,
+    ) -> ConstraintOutcome {
+        let mut field = std::mem::take(&mut self.field);
+        let outcome = self.apply_radial_constraint_with(center, profile, &mut field);
+        self.field = field;
+        outcome
+    }
+
+    /// The fast path of the Bayesian update: multiplies
+    /// `profile.density(‖cell − center‖)` into every cell and
+    /// renormalizes, reading the cell distances from `field` (rebuilt
+    /// there only if it holds another centre, geometry or step).
+    ///
+    /// One pass over the grid: [`kernel::product_from_field`] reads the
+    /// pending normalization and the cell's distance and looks the density
+    /// up in a pre-sampled 1-D [`RadialProfile`] instead of a per-cell
+    /// `exp`/histogram evaluation, a block of cells at a time, and
+    /// [`kernel::LaneSum`] folds each block into the total while it is in
+    /// cache. On a memo miss, [`kernel::product_building_field`] computes
+    /// the distances row by row in the same pass and leaves them in
+    /// `field`. All buffers are persistent, so a beacon update allocates
+    /// nothing.
     ///
     /// Bit-identical to
     /// [`apply_radial_constraint_scalar`](Self::apply_radial_constraint_scalar)
     /// (see [`crate::kernel`]), and equivalent within float rounding to
     /// `apply_constraint(|p| profile.density(p.distance_to(center)))`,
     /// including the [`ConstraintOutcome::Rejected`] behaviour.
-    pub fn apply_radial_constraint(
+    pub fn apply_radial_constraint_with(
         &mut self,
         center: Point,
         profile: &RadialProfile,
+        field: &mut DistanceField,
     ) -> ConstraintOutcome {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        // The row kernel overwrites every element, so only the length is
-        // established; no zero-fill pass is paid after the first call.
-        if scratch.len() != self.cells.len() {
-            Self::reset_scratch(&mut scratch, self.cells.len());
-        }
-        let mut dx2 = std::mem::take(&mut self.dx2);
-        Self::fill_dx2(&mut dx2, &self.xs, center.x);
         let inv_step = profile.inv_step();
         let table = profile.lane_table();
-        for (iy, out) in scratch.chunks_exact_mut(self.nx).enumerate() {
-            let dy = self.ys[iy] - center.y;
-            let row = &self.cells[iy * self.nx..(iy + 1) * self.nx];
-            kernel::radial_product_row(out, row, &dx2, dy * dy, inv_step, table);
+        let mut out = self.take_scratch();
+        let mut sum = kernel::LaneSum::default();
+        if field.claim(self, center, inv_step) {
+            for (iy, &y) in self.ys.iter().enumerate() {
+                let cells = iy * self.nx..(iy + 1) * self.nx;
+                let dy = y - center.y;
+                let row = kernel::RowGeometry {
+                    dx2: &field.dx2,
+                    dy2: dy * dy,
+                    inv_step,
+                };
+                kernel::product_building_field(
+                    &mut out[cells.clone()],
+                    &mut field.t[cells.clone()],
+                    &self.raw[cells.clone()],
+                    self.scale,
+                    row,
+                    table,
+                );
+                sum.advance(&out, cells.end);
+            }
+        } else {
+            for start in (0..out.len()).step_by(BLOCK) {
+                let cells = start..(start + BLOCK).min(out.len());
+                kernel::product_from_field(
+                    &mut out[cells.clone()],
+                    &self.raw[cells.clone()],
+                    self.scale,
+                    &field.t[cells.clone()],
+                    table,
+                );
+                sum.advance(&out, cells.end);
+            }
         }
-        self.dx2 = dx2;
-        let outcome = self.commit(&scratch, sum_4lane(&scratch));
-        self.scratch = scratch;
-        outcome
+        let total = sum.finish(&out);
+        self.commit(out, total)
     }
 
     /// The scalar reference for
-    /// [`apply_radial_constraint`](Self::apply_radial_constraint): a
-    /// distance stage into a row buffer, then a per-cell
-    /// [`RadialProfile::density_scaled`] lookup. It is the bit-identity
-    /// oracle the lane kernel is tested and benchmarked against; no
-    /// simulation path calls it.
+    /// [`apply_radial_constraint`](Self::apply_radial_constraint): per row,
+    /// a `sqrt` per cell into a row buffer, then a per-cell
+    /// [`RadialProfile::density_scaled`] lookup times the normalized prior
+    /// cell, and a separate four-lane sum pass over the product. It is the
+    /// bit-identity oracle the fused kernel is tested and benchmarked
+    /// against; no simulation path calls it.
     pub fn apply_radial_constraint_scalar(
         &mut self,
         center: Point,
         profile: &RadialProfile,
     ) -> ConstraintOutcome {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        Self::reset_scratch(&mut scratch, self.cells.len());
-        let mut dx2 = std::mem::take(&mut self.dx2);
-        Self::fill_dx2(&mut dx2, &self.xs, center.x);
+        let mut scratch = self.take_scratch();
+        let mut dx2 = Vec::new();
+        fill_dx2(&mut dx2, &self.xs, center.x);
         let mut row_t = vec![0.0; self.nx];
         let inv_step = profile.inv_step();
         for (iy, out) in scratch.chunks_exact_mut(self.nx).enumerate() {
             let dy = self.ys[iy] - center.y;
             let dy2 = dy * dy;
-            let row = &self.cells[iy * self.nx..(iy + 1) * self.nx];
+            let row = &self.raw[iy * self.nx..(iy + 1) * self.nx];
             for (t, &dx2) in row_t.iter_mut().zip(&dx2) {
                 *t = (dx2 + dy2).sqrt() * inv_step;
             }
-            for ((dst, &cell), &t) in out.iter_mut().zip(row).zip(&row_t) {
-                *dst = cell * profile.density_scaled(t);
+            for ((dst, &raw), &t) in out.iter_mut().zip(row).zip(&row_t) {
+                *dst = (raw * self.scale) * profile.density_scaled(t);
             }
         }
-        self.dx2 = dx2;
-        let outcome = self.commit(&scratch, sum_4lane(&scratch));
-        self.scratch = scratch;
-        outcome
-    }
-
-    /// Fills `dx2` with per-column squared x-distances to `cx`.
-    fn fill_dx2(dx2: &mut Vec<f64>, xs: &[f64], cx: f64) {
-        dx2.clear();
-        dx2.extend(xs.iter().map(|&x| {
-            let dx = x - cx;
-            dx * dx
-        }));
+        let total = kernel::sum_4lane(&scratch);
+        self.commit(scratch, total)
     }
 
     /// The posterior mean (paper Eq. 3) — the position estimate.
     pub fn mean(&self) -> Point {
         let mut x = 0.0;
         let mut y = 0.0;
-        for iy in 0..self.ny {
-            for ix in 0..self.nx {
-                let p = self.cells[iy * self.nx + ix];
+        for (iy, row) in self.raw.chunks_exact(self.nx).enumerate() {
+            for (ix, &raw) in row.iter().enumerate() {
+                let p = raw * self.scale;
                 if p > 0.0 {
                     let c = self.cell_center(ix, iy);
                     x += p * c.x;
@@ -328,64 +434,70 @@ impl PositionGrid {
 
     /// The centre of the highest-probability cell (MAP estimate).
     pub fn map_estimate(&self) -> Point {
-        let (idx, _) =
-            self.cells
-                .iter()
-                .enumerate()
-                .fold((0, f64::NEG_INFINITY), |best, (i, &v)| {
-                    if v > best.1 {
-                        (i, v)
-                    } else {
-                        best
-                    }
-                });
+        let (idx, _) = self
+            .cells()
+            .enumerate()
+            .fold((0, f64::NEG_INFINITY), |best, (i, v)| {
+                if v > best.1 {
+                    (i, v)
+                } else {
+                    best
+                }
+            });
         self.cell_center(idx % self.nx, idx / self.nx)
     }
 
     /// Number of cells in the grid.
     pub fn num_cells(&self) -> usize {
-        self.cells.len()
+        self.raw.len()
     }
 
     /// The maximum possible posterior entropy, nats — attained by the
     /// uniform prior. The entropy watchdog compares against this.
     pub fn max_entropy(&self) -> f64 {
-        (self.cells.len() as f64).ln()
+        (self.raw.len() as f64).ln()
     }
 
     /// Shannon entropy of the posterior, nats. The uniform prior maximizes
     /// it; a confident fix approaches zero.
     pub fn entropy(&self) -> f64 {
         -self
-            .cells
-            .iter()
-            .filter(|&&p| p > 0.0)
-            .map(|&p| p * p.ln())
+            .cells()
+            .filter(|&p| p > 0.0)
+            .map(|p| p * p.ln())
             .sum::<f64>()
     }
 
     /// Total probability mass (1.0 up to rounding; exposed for tests).
     pub fn total_mass(&self) -> f64 {
-        self.cells.iter().sum()
+        self.cells().sum()
     }
 
-    /// The raw cell probabilities, row-major (`iy * nx + ix`).
-    pub fn cells(&self) -> &[f64] {
-        &self.cells
+    /// The normalized cell probabilities, row-major (`iy * nx + ix`).
+    pub fn cells(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
+        let scale = self.scale;
+        self.raw.iter().map(move |&v| v * scale)
     }
 
     /// Overwrites the posterior with checkpointed cell probabilities.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `cells` does not match this grid's cell count.
-    pub fn restore_cells(&mut self, cells: &[f64]) {
-        assert_eq!(
-            cells.len(),
-            self.cells.len(),
-            "checkpointed posterior has wrong cell count"
-        );
-        self.cells.copy_from_slice(cells);
+    /// Returns a message naming both counts if `cells` does not match this
+    /// grid's cell count; the posterior is then left untouched.
+    pub fn restore_cells(&mut self, cells: &[f64]) -> Result<(), String> {
+        if cells.len() != self.raw.len() {
+            return Err(format!(
+                "checkpointed posterior has {} cells, the {}×{} grid has {}",
+                cells.len(),
+                self.nx,
+                self.ny,
+                self.raw.len()
+            ));
+        }
+        self.raw.copy_from_slice(cells);
+        self.scale = 1.0;
+        Ok(())
     }
 
     /// Probability of the cell containing `p` (0 outside the area).
@@ -396,7 +508,7 @@ impl PositionGrid {
         let r = self.config.resolution_m;
         let ix = (((p.x - self.config.area.x_min) / r) as usize).min(self.nx - 1);
         let iy = (((p.y - self.config.area.y_min) / r) as usize).min(self.ny - 1);
-        self.cells[iy * self.nx + ix]
+        self.raw[iy * self.nx + ix] * self.scale
     }
 }
 

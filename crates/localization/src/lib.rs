@@ -40,9 +40,9 @@ pub mod prelude {
     };
     pub use crate::ekf::{EkfConfig, EkfLocalizer, EkfSnapshot, EkfUpdate};
     pub use crate::estimator::{
-        EstimatorMode, RfAlgorithm, WindowOutcome, WindowStats, WindowedRfEstimator,
+        EstimatorMode, OutlierGate, RfAlgorithm, WindowOutcome, WindowStats, WindowedRfEstimator,
     };
-    pub use crate::grid::{ConstraintOutcome, GridConfig, PositionGrid};
+    pub use crate::grid::{ConstraintOutcome, DistanceField, GridConfig, PositionGrid};
     pub use crate::kernel::GridPipeline;
     pub use crate::multilateration::{MultilaterationConfig, Multilaterator, RangeObservation};
 }

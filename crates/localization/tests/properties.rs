@@ -338,18 +338,95 @@ proptest! {
             }
             let c = est.checkpoint();
             prop_assert_eq!(c.algorithm(), algorithm);
-            let restored = WindowedRfEstimator::from_checkpoint(grid, c.clone());
+            let restored = WindowedRfEstimator::from_checkpoint(grid, c.clone())
+                .expect("own checkpoint fits its grid");
             prop_assert_eq!(&restored, &est, "{} restore must be exact", algorithm);
             prop_assert_eq!(restored.checkpoint(), c, "{} re-checkpoint must be exact", algorithm);
         }
     }
 }
 
+/// Cell sides whose grids over the 200 m square are 100, 49, 50 and 67
+/// cells wide: `nx % 4` = 0, 1, 2, 3, so the fused sum's trailing-cell
+/// path and lane groups that straddle rows are both exercised.
+const EXACTNESS_RESOLUTIONS: [(f64, usize); 4] = [(2.0, 100), (4.1, 49), (4.0, 50), (3.0, 67)];
+
+/// One update of an exactness schedule: which of two posteriors takes it,
+/// which of four centres, and which profile (three Gaussians, then an
+/// all-zero and an all-NaN profile that must be rejected).
+fn arb_field_op() -> impl Strategy<Value = (bool, usize, usize)> {
+    (any::<bool>(), 0usize..4, 0usize..5)
+}
+
 proptest! {
-    /// The lane-packed f64 kernel is bit-identical to the scalar
-    /// reference: same posterior bytes for arbitrary beacon geometry,
-    /// profile shape and grid resolution. This is the contract that lets
-    /// the lane kernel be the only dense update without perturbing goldens.
+    /// The shipped dense update (shared distance field, normalization
+    /// folded into the next update, lane-ordered sum) is bit-identical to
+    /// the scalar oracle for every grid width: same outcome, cells, mean
+    /// and entropy after every step. Two posteriors share one field, and
+    /// the field is rebuilt exactly when the centre changes.
+    #[test]
+    fn fused_update_is_bit_identical_to_scalar_oracle(
+        width in 0usize..4,
+        xs in proptest::collection::vec(-20.0..220.0f64, 2),
+        ys in proptest::collection::vec(-20.0..220.0f64, 2),
+        means in proptest::collection::vec(2.0..90.0f64, 3),
+        sigma in 0.25..25.0f64,
+        step in 0.02..0.5f64,
+        ops in proptest::collection::vec(arb_field_op(), 1..10),
+    ) {
+        let (res, nx) = EXACTNESS_RESOLUTIONS[width];
+        // Centres on a 2 × 2 lattice share an x or a y coordinate, so a
+        // memo key that missed either would reuse a wrong field.
+        let centres: Vec<Point> = xs
+            .iter()
+            .flat_map(|&x| ys.iter().map(move |&y| Point::new(x, y)))
+            .collect();
+        let mut profiles: Vec<RadialProfile> = means
+            .iter()
+            .map(|&mean| {
+                DistancePdf::Gaussian { mean, sigma }
+                    .radial_profile(step, 340.0)
+                    .offset(CONSTRAINT_FLOOR)
+            })
+            .collect();
+        profiles.push(RadialProfile::from_fn(step, 340.0, |_| 0.0));
+        profiles.push(RadialProfile::from_fn(step, 340.0, |_| f64::NAN));
+        let fresh = PositionGrid::new(GridConfig::new(Area::square(200.0), res));
+        prop_assert_eq!(fresh.nx(), nx);
+        let mut shipped = [fresh.clone(), fresh.clone()];
+        let mut oracle = [fresh.clone(), fresh];
+        let mut field = DistanceField::new();
+        let mut last_centre = None;
+        for (second, c, p) in ops {
+            let k = usize::from(second);
+            let builds = field.builds();
+            let got = shipped[k].apply_radial_constraint_with(centres[c], &profiles[p], &mut field);
+            let want = oracle[k].apply_radial_constraint_scalar(centres[c], &profiles[p]);
+            prop_assert_eq!(got, want);
+            if p >= 3 {
+                prop_assert_eq!(got, ConstraintOutcome::Rejected);
+            }
+            let rebuilt = last_centre != Some(centres[c]);
+            prop_assert_eq!(field.builds() - builds, u64::from(rebuilt));
+            last_centre = Some(centres[c]);
+            let (s, o) = (&shipped[k], &oracle[k]);
+            for (i, (a, b)) in s.cells().zip(o.cells()).enumerate() {
+                prop_assert!(a.to_bits() == b.to_bits(), "cell {}: {:e} vs {:e}", i, a, b);
+            }
+            prop_assert_eq!(s.mean().x.to_bits(), o.mean().x.to_bits());
+            prop_assert_eq!(s.mean().y.to_bits(), o.mean().y.to_bits());
+            prop_assert_eq!(s.entropy().to_bits(), o.entropy().to_bits());
+            prop_assert_eq!(s, o);
+        }
+    }
+}
+
+proptest! {
+    /// The fused kernel, through the grid's own distance-field memo, is
+    /// bit-identical to the scalar reference: same posterior bytes for
+    /// arbitrary beacon geometry, profile shape and grid resolution. This
+    /// is the contract that lets the fused kernel be the only dense update
+    /// without perturbing goldens.
     #[test]
     fn simd_f64_kernel_is_bit_identical_to_scalar(
         cx in -20.0..220.0f64,
@@ -368,7 +445,7 @@ proptest! {
             let oa = scalar.apply_radial_constraint_scalar(center, &profile);
             let ob = simd.apply_radial_constraint(center, &profile);
             prop_assert_eq!(oa, ob);
-            for (ix, (a, b)) in scalar.cells().iter().zip(simd.cells()).enumerate() {
+            for (ix, (a, b)) in scalar.cells().zip(simd.cells()).enumerate() {
                 prop_assert!(
                     a.to_bits() == b.to_bits(),
                     "cell {}: scalar {:e} vs simd {:e}", ix, a, b
@@ -541,9 +618,12 @@ proptest! {
                         MemoOp::Reset => loc.reset(),
                         MemoOp::Save => saved = loc.posterior().clone(),
                         MemoOp::Restore => match &saved {
-                            Posterior::Dense(g) => loc.restore_posterior_cells(g.cells()),
+                            Posterior::Dense(g) => {
+                                let cells: Vec<f64> = g.cells().collect();
+                                loc.restore_posterior_cells(&cells).expect("same grid");
+                            }
                             Posterior::Adaptive(g) => {
-                                loc.restore_posterior_tiles(g.tiles().to_vec());
+                                loc.restore_posterior_tiles(g.tiles().to_vec()).expect("same grid");
                             }
                         },
                         MemoOp::Clone => *loc = loc.clone(),
