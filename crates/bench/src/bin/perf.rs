@@ -38,7 +38,6 @@ use cocoa_core::metrics::RunMetrics;
 use cocoa_core::runner::{run, run_with_telemetry, WarmArtifacts};
 use cocoa_core::scenario::Scenario;
 use cocoa_core::serve::{client, ServeConfig, Server};
-use cocoa_localization::adaptive::AdaptiveGrid;
 use cocoa_localization::bayes::{radial_constraints_for_grid, BayesianLocalizer};
 use cocoa_localization::grid::{ConstraintOutcome, DistanceField, GridConfig, PositionGrid};
 use cocoa_net::calibration::{calibrate, CalibrationConfig, DistancePdf, RadialProfile};
@@ -206,9 +205,9 @@ fn main() -> ExitCode {
     let kernel_simd = bench_kernel(PositionGrid::apply_radial_constraint);
     let simd_speedup = kernel_simd / kernel_scalar;
 
-    // Window-level: 4 beacons through the dense grid, the baseline for the
-    // adaptive window below. One field per beacon, shared by
-    // `RECEIVERS_PER_BEACON` windows before the centres move.
+    // Window-level: 4 beacons through the dense grid. One field per
+    // beacon, shared by `RECEIVERS_PER_BEACON` windows before the centres
+    // move.
     let mut g_seq = PositionGrid::new(grid_cfg);
     let mut fields: [DistanceField; 4] = Default::default();
     let mut w = 0usize;
@@ -222,39 +221,7 @@ fn main() -> ExitCode {
         w += 1;
     });
 
-    // Adaptive coarse-to-fine: same 4-beacon window, counting evaluated
-    // cells. The dense window touches 4 × 10⁴ cells; the adaptive grid
-    // evaluates coarse tiles once and fine cells only where mass lives.
-    let mut g_ad = AdaptiveGrid::new(grid_cfg, 4, 2.0);
-    let mut adaptive_touched = 0u64;
-    let mut adaptive_windows = 0u64;
-    let window_adaptive = ops_per_sec(|| {
-        g_ad.reset_uniform();
-        for &b in &beacons {
-            let (_, op) = g_ad.apply_radial_constraint(b, &profile);
-            adaptive_touched += op.cells_touched;
-        }
-        adaptive_windows += 1;
-    });
     let dense_cells_per_window = 4 * PositionGrid::new(grid_cfg).num_cells();
-    let adaptive_cells_per_window = adaptive_touched as f64 / adaptive_windows as f64;
-    let cells_ratio = dense_cells_per_window as f64 / adaptive_cells_per_window;
-    // Equal-accuracy guard: the adaptive estimate must stay within one
-    // grid cell (2 m) of the dense one on this window — the dense grid's
-    // own quantization scale.
-    let adaptive_estimate_delta = {
-        let mut dense = PositionGrid::new(grid_cfg);
-        let mut adaptive = AdaptiveGrid::new(grid_cfg, 4, 2.0);
-        for &b in &beacons {
-            dense.apply_radial_constraint(b, &profile);
-            adaptive.apply_radial_constraint(b, &profile);
-        }
-        dense.mean().distance_to(adaptive.mean())
-    };
-    assert!(
-        adaptive_estimate_delta < grid_cfg.resolution_m,
-        "adaptive estimate drifted {adaptive_estimate_delta:.2} m from dense"
-    );
 
     // PDF-table lookup over a 64-value RSSI ramp: dense vector vs the
     // seed's BTreeMap-with-probing layout rebuilt from the same entries.
@@ -420,10 +387,6 @@ fn main() -> ExitCode {
         fmt_ops(kernel_simd)
     );
     println!("grid window (dense):   {}", fmt_ops(window_sequential));
-    println!(
-        "grid window (adaptive): {}  ({adaptive_cells_per_window:.0} cells vs {dense_cells_per_window} dense, {cells_ratio:.1}x fewer, est delta {adaptive_estimate_delta:.3} m)",
-        fmt_ops(window_adaptive)
-    );
     println!("pdf lookup (dense):    {}", fmt_ops(lookup_dense));
     println!("pdf lookup (probing):  {}", fmt_ops(lookup_probing));
     println!("fig7 quick scale:      {fig7_secs:.2} s");
@@ -460,11 +423,7 @@ fn main() -> ExitCode {
          \"grid_kernel_simd_ops_per_sec\": {kernel_simd:.1},\n  \
          \"grid_update_simd_speedup\": {simd_speedup:.2},\n  \
          \"grid_window_sequential_ops_per_sec\": {window_sequential:.1},\n  \
-         \"grid_window_adaptive_ops_per_sec\": {window_adaptive:.1},\n  \
-         \"grid_adaptive_cells_per_window\": {adaptive_cells_per_window:.0},\n  \
          \"grid_dense_cells_per_window\": {dense_cells_per_window},\n  \
-         \"grid_adaptive_cells_ratio\": {cells_ratio:.2},\n  \
-         \"grid_adaptive_estimate_delta_m\": {adaptive_estimate_delta:.4},\n  \
          \"pdf_lookup_dense_ops_per_sec\": {lookup_dense:.1},\n  \
          \"pdf_lookup_probing_ops_per_sec\": {lookup_probing:.1},\n  \
          \"fig7_quick_wall_secs\": {fig7_secs:.3}\n}}\n"

@@ -70,7 +70,6 @@ pub const SPECS: &[MetricSpec] = &[
     spec("grid_kernel_scalar_ops_per_sec", HigherIsBetter, 0.5),
     spec("grid_kernel_simd_ops_per_sec", HigherIsBetter, 0.5),
     spec("grid_window_sequential_ops_per_sec", HigherIsBetter, 0.5),
-    spec("grid_window_adaptive_ops_per_sec", HigherIsBetter, 0.5),
     spec("pdf_lookup_dense_ops_per_sec", HigherIsBetter, 0.5),
     spec("pdf_lookup_probing_ops_per_sec", HigherIsBetter, 0.5),
     // --- BENCH_grid.json: relative speedups (ratios of two timings taken
@@ -78,10 +77,7 @@ pub const SPECS: &[MetricSpec] = &[
     spec("grid_update_radial_speedup", HigherIsBetter, 0.35),
     spec("grid_update_simd_speedup", HigherIsBetter, 0.35),
     // --- BENCH_grid.json: deterministic shape/accuracy ---
-    spec("grid_adaptive_cells_per_window", LowerIsBetter, 0.05),
     spec("grid_dense_cells_per_window", LowerIsBetter, 0.01),
-    spec("grid_adaptive_cells_ratio", HigherIsBetter, 0.05),
-    spec("grid_adaptive_estimate_delta_m", LowerIsBetter, 0.05),
     spec("fig7_quick_wall_secs", LowerIsBetter, 1.0),
     // --- BENCH_estimator.json: quick-scale estimator-backend ablation.
     // The errors are deterministic for a fixed seed, but deliberate

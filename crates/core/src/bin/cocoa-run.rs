@@ -50,7 +50,6 @@ OPTIONS:
     --estimator ALGO    bayes | multilateration | ekf     [default: bayes]
     --algorithm ALGO    alias of --estimator
     --grid METRES       Bayesian grid resolution          [default: 2.0]
-    --grid-adaptive     coarse-to-fine adaptive posterior
     --snapshot SECS     record a per-robot CDF snapshot (repeatable)
     --no-coordination   radios idle instead of sleeping
     --no-sync           disable the MRMM SYNC service
@@ -123,6 +122,16 @@ enum ArgError {
     Validation(String),
 }
 
+/// Seconds as a clock duration, refusing negative values and durations
+/// the microsecond clock cannot hold.
+fn secs(flag: &str, s: f64) -> Result<SimDuration, ArgError> {
+    SimDuration::checked_from_secs_f64(s).ok_or_else(|| {
+        ArgError::Usage(format!(
+            "{flag} must be a non-negative duration the clock can hold"
+        ))
+    })
+}
+
 fn parse_args() -> Result<Args, ArgError> {
     use ArgError::Usage;
     let mut b = Scenario::builder();
@@ -169,19 +178,19 @@ fn parse_args() -> Result<Args, ArgError> {
                 let s: u64 = value("--duration")?
                     .parse()
                     .map_err(|e| Usage(format!("--duration: {e}")))?;
-                b.duration(SimDuration::from_secs(s));
+                b.duration(secs("--duration", s as f64)?);
             }
             "--period" => {
                 let s: u64 = value("--period")?
                     .parse()
                     .map_err(|e| Usage(format!("--period: {e}")))?;
-                b.beacon_period(SimDuration::from_secs(s));
+                b.beacon_period(secs("--period", s as f64)?);
             }
             "--window" => {
                 let s: u64 = value("--window")?
                     .parse()
                     .map_err(|e| Usage(format!("--window: {e}")))?;
-                b.transmit_window(SimDuration::from_secs(s));
+                b.transmit_window(secs("--window", s as f64)?);
             }
             "--beacons" => {
                 b.beacons_per_window(
@@ -244,14 +253,11 @@ fn parse_args() -> Result<Args, ArgError> {
                         .map_err(|e| Usage(format!("--grid: {e}")))?,
                 );
             }
-            "--grid-adaptive" => {
-                b.grid_adaptive(true);
-            }
             "--snapshot" => {
                 let s: f64 = value("--snapshot")?
                     .parse()
                     .map_err(|e| Usage(format!("--snapshot: {e}")))?;
-                snapshots.push(SimTime::from_secs_f64(s));
+                snapshots.push(SimTime::ZERO + secs("--snapshot", s)?);
             }
             "--no-coordination" => {
                 b.coordination(false);
@@ -267,10 +273,7 @@ fn parse_args() -> Result<Args, ArgError> {
                 let s: f64 = value("--snapshot-at")?
                     .parse()
                     .map_err(|e| Usage(format!("--snapshot-at: {e}")))?;
-                if !s.is_finite() || s < 0.0 {
-                    return Err(Usage("--snapshot-at must be non-negative".into()));
-                }
-                snapshot_at = Some(SimTime::from_secs_f64(s));
+                snapshot_at = Some(SimTime::ZERO + secs("--snapshot-at", s)?);
             }
             "--snapshot-out" => snapshot_out = value("--snapshot-out")?,
             "--resume" => resume = Some(value("--resume")?),
@@ -281,7 +284,10 @@ fn parse_args() -> Result<Args, ArgError> {
                 if !s.is_finite() || s <= 0.0 {
                     return Err(Usage("--deadline must be positive".into()));
                 }
-                deadline = Some(Duration::from_secs_f64(s));
+                deadline = Some(
+                    Duration::try_from_secs_f64(s)
+                        .map_err(|e| Usage(format!("--deadline: {e}")))?,
+                );
             }
             "--csv" => csv_prefix = Some(value("--csv")?),
             "--telemetry" => {
@@ -298,7 +304,7 @@ fn parse_args() -> Result<Args, ArgError> {
                 if !s.is_finite() || s <= 0.0 {
                     return Err(Usage("--sample-interval must be positive".into()));
                 }
-                sample_interval = Some(SimDuration::from_secs_f64(s));
+                sample_interval = Some(secs("--sample-interval", s)?);
             }
             "-h" | "--help" => {
                 print!("{USAGE}");

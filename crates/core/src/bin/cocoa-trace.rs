@@ -145,7 +145,7 @@ fn summary(trace: &TraceFile) {
     println!("counters        {}", trace.counters.len());
     println!("spans           {}", trace.spans.len());
     println!("histograms      {}", trace.hists.len());
-    // One-line grid digest: which pipeline ran and what it cost.
+    // One-line grid digest: what the grid update cost.
     let grid = |name: &str| {
         trace
             .counters
@@ -153,23 +153,10 @@ fn summary(trace: &TraceFile) {
             .find(|(n, _)| n == name)
             .map_or(0, |(_, v)| *v)
     };
-    let variants: Vec<String> = [
-        ("simd", "grid.kernel.simd"),
-        ("adaptive", "grid.kernel.adaptive"),
-    ]
-    .iter()
-    .filter_map(|(short, name)| {
-        let v = grid(name);
-        (v > 0).then(|| format!("{short}={v}"))
-    })
-    .collect();
-    if !variants.is_empty() {
-        println!("grid kernels    {}", variants.join(" "));
+    let simd = grid("grid.kernel.simd");
+    if simd > 0 {
+        println!("grid kernels    simd={simd}");
         println!("grid cells      {}", grid("grid.cells_touched"));
-        let refined = grid("grid.cells_refined");
-        if refined > 0 {
-            println!("grid refined    {refined}");
-        }
     }
     // One-line estimator digest: which RF backend ran and how its windows
     // resolved (`estimator.<backend>.*` is emitted by every counter run).

@@ -7,8 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use cocoa_localization::estimator::{EstimatorMode, RfAlgorithm};
-use cocoa_localization::kernel::GridPipeline;
+use cocoa_localization::estimator::{EstimatorMode, GridPipeline, RfAlgorithm};
 use cocoa_mobility::odometry::OdometryConfig;
 use cocoa_multicast::odmrp::{MeshMode, OdmrpConfig};
 use cocoa_multicast::protocol::MulticastProtocol;
@@ -111,8 +110,8 @@ pub struct Scenario {
     /// from our reference estimate disagrees with the RSSI-implied
     /// distance by more than this. `0.0` disables the gate.
     pub outlier_gate_m: f64,
-    /// Grid-update pipeline: the dense lane-kernel grid (the default) or
-    /// coarse-to-fine adaptive resolution.
+    /// The retired grid-pipeline selection, which selects nothing (see
+    /// [`GridPipeline`]).
     #[serde(default)]
     pub grid_pipeline: GridPipeline,
 }
@@ -191,7 +190,9 @@ impl Scenario {
         if self.beacons_per_window == 0 {
             return Err("k (beacons per window) must be at least 1".into());
         }
-        if self.guard_band * 2 >= self.beacon_period {
+        // `2·guard ≥ period`, without the overflowing multiply (the
+        // subtraction saturates at zero).
+        if self.guard_band >= self.beacon_period - self.guard_band {
             return Err("guard band too large for the beacon period".into());
         }
         if !(0.0..1.0).contains(&self.packet_loss) {
@@ -216,7 +217,7 @@ impl Scenario {
                 self.outlier_gate_m
             ));
         }
-        self.grid_pipeline.validate()
+        Ok(())
     }
 }
 
@@ -262,7 +263,7 @@ impl Default for ScenarioBuilder {
                 failover_missed_periods: 3,
                 entropy_watchdog_frac: 0.98,
                 outlier_gate_m: 80.0,
-                grid_pipeline: GridPipeline::default(),
+                grid_pipeline: GridPipeline,
             },
         }
     }
@@ -454,18 +455,6 @@ impl ScenarioBuilder {
     /// Sets the outlier beacon gate in metres (`0.0` disables).
     pub fn outlier_gate_m(&mut self, gate: f64) -> &mut Self {
         self.scenario.outlier_gate_m = gate;
-        self
-    }
-
-    /// Sets the whole grid-update pipeline at once.
-    pub fn grid_pipeline(&mut self, pipeline: GridPipeline) -> &mut Self {
-        self.scenario.grid_pipeline = pipeline;
-        self
-    }
-
-    /// Enables/disables the coarse-to-fine adaptive posterior.
-    pub fn grid_adaptive(&mut self, adaptive: bool) -> &mut Self {
-        self.scenario.grid_pipeline.adaptive = adaptive;
         self
     }
 

@@ -45,6 +45,13 @@ fn uint(key: &str, value: &JsonValue) -> Result<u64, String> {
         .ok_or_else(|| format!("'{key}' must be a non-negative integer"))
 }
 
+/// Seconds as a clock duration, refusing negative values and durations
+/// the microsecond clock cannot hold.
+fn secs(key: &str, s: f64) -> Result<SimDuration, String> {
+    SimDuration::checked_from_secs_f64(s)
+        .ok_or_else(|| format!("'{key}' must be a non-negative duration the clock can hold"))
+}
+
 fn text<'v>(key: &str, value: &'v JsonValue) -> Result<&'v str, String> {
     value
         .as_str()
@@ -86,13 +93,13 @@ pub fn parse_spec(spec: &str) -> Result<ServeRequest, String> {
                 b.equipped(uint(key, value)? as usize);
             }
             "duration_s" => {
-                b.duration(SimDuration::from_secs(uint(key, value)?));
+                b.duration(secs(key, uint(key, value)? as f64)?);
             }
             "period_s" => {
-                b.beacon_period(SimDuration::from_secs(uint(key, value)?));
+                b.beacon_period(secs(key, uint(key, value)? as f64)?);
             }
             "window_s" => {
-                b.transmit_window(SimDuration::from_secs(uint(key, value)?));
+                b.transmit_window(secs(key, uint(key, value)? as f64)?);
             }
             "beacons" => {
                 let k = uint(key, value)?;
@@ -141,9 +148,6 @@ pub fn parse_spec(spec: &str) -> Result<ServeRequest, String> {
             "grid_m" => {
                 b.grid_resolution(num(key, value)?);
             }
-            "grid_adaptive" => {
-                b.grid_adaptive(flag(key, value)?);
-            }
             "coordination" => {
                 b.coordination(flag(key, value)?);
             }
@@ -160,10 +164,10 @@ pub fn parse_spec(spec: &str) -> Result<ServeRequest, String> {
                 b.clock_skew_ppm(num(key, value)?);
             }
             "guard_band_s" => {
-                b.guard_band(SimDuration::from_secs_f64(num(key, value)?));
+                b.guard_band(secs(key, num(key, value)?)?);
             }
             "snapshot_s" => {
-                b.snapshots([SimTime::from_secs_f64(num(key, value)?)]);
+                b.snapshots([SimTime::ZERO + secs(key, num(key, value)?)?]);
             }
             "failover_missed_periods" => {
                 let k = uint(key, value)?;
@@ -187,7 +191,7 @@ pub fn parse_spec(spec: &str) -> Result<ServeRequest, String> {
                 if s <= 0.0 {
                     return Err("'sample_interval_s' must be positive".into());
                 }
-                sample_interval = Some(SimDuration::from_secs_f64(s));
+                sample_interval = Some(secs(key, s)?);
             }
             other => return Err(format!("unknown spec key '{other}'")),
         }

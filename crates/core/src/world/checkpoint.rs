@@ -24,15 +24,13 @@
 
 use bytes::Bytes;
 
-use cocoa_localization::adaptive::Tile;
 use cocoa_localization::backend::BackendCheckpoint;
 use cocoa_localization::bayes::GridStats;
 use cocoa_localization::ekf::EkfSnapshot;
 use cocoa_localization::estimator::{
-    EstimatorCheckpoint, EstimatorMode, RfAlgorithm, WindowStats, WindowedRfEstimator,
+    EstimatorCheckpoint, EstimatorMode, GridPipeline, RfAlgorithm, WindowStats, WindowedRfEstimator,
 };
 use cocoa_localization::grid::{DistanceField, GridConfig};
-use cocoa_localization::kernel::GridPipeline;
 use cocoa_localization::multilateration::RangeObservation;
 use cocoa_mobility::motion::RobotMotion;
 use cocoa_mobility::odometry::{Odometer, OdometerCheckpoint, OdometryConfig};
@@ -58,9 +56,9 @@ use cocoa_sim::snapshot::{
 use cocoa_sim::telemetry::hist::{HistSnapshot, Histogram, NUM_BUCKETS};
 use cocoa_sim::telemetry::{
     SpanStart, StampedEvent, Telemetry, TelemetryCheckpoint, TelemetryEvent, TelemetryLevel,
+    TraceLevel,
 };
 use cocoa_sim::time::{SimDuration, SimTime};
-use cocoa_sim::trace::TraceLevel;
 
 use crate::codec::{self, codec_enum, codec_struct, malformed, put_seq, read_len, Codec};
 use crate::health::{DegradationState, HealthLedger, HealthMonitor};
@@ -158,7 +156,46 @@ codec_enum! { MulticastProtocol, "multicast protocol" {
     1 => Odmrp {},
     2 => Mrmm {},
 } }
-codec_struct! { GridPipeline { adaptive, adaptive_coarse_factor, adaptive_refine_factor } }
+
+// Retired schema-5 slots. The coarse-to-fine adaptive posterior is gone,
+// but four slots it used stay on the wire, so dense snapshots, scenario
+// fingerprints and persisted serve results keep their bytes:
+//
+// - the scenario's grid-pipeline triple `(adaptive, coarse_factor,
+//   refine_factor)`, written as `(false, 4, 2.0)`;
+// - the Bayes checkpoint's tile list, written as an empty sequence;
+// - two `GridStats` counters, written as `0`.
+//
+// The decoder rejects any other value in these slots as malformed.
+
+/// Reads a retired slot, which must hold `value`.
+fn read_retired<T: Codec + PartialEq>(
+    r: &mut SnapshotReader<'_>,
+    value: T,
+    slot: &str,
+) -> Result<(), SnapshotError> {
+    if T::read(r)? == value {
+        Ok(())
+    } else {
+        Err(malformed(format!(
+            "retired {slot} slot holds a non-default value"
+        )))
+    }
+}
+
+/// The only value the retired grid-pipeline triple may hold.
+const RETIRED_PIPELINE: (bool, u32, f64) = (false, 4, 2.0);
+
+impl Codec for GridPipeline {
+    fn put(&self, buf: &mut Vec<u8>) {
+        RETIRED_PIPELINE.put(buf);
+    }
+
+    fn read(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        read_retired(r, RETIRED_PIPELINE, "grid pipeline")?;
+        Ok(GridPipeline)
+    }
+}
 codec_struct! { FaultEvent { at, fault } }
 
 /// A plan is its event list; decoding re-schedules each event.
@@ -352,11 +389,24 @@ codec_struct! { MediumState {
 codec_struct! { WindowStats {
     windows, fixes, flat_windows, beacons_seen, beacons_applied, beacons_rejected_outlier,
 } }
-codec_enum! { Tile, "adaptive tile" {
-    0 => Coarse(mass),
-    1 => Refined(cells),
-} }
-codec_struct! { GridStats { kernel_simd, kernel_adaptive, cells_touched, cells_refined } }
+
+/// The live counters, each followed by a retired one.
+impl Codec for GridStats {
+    fn put(&self, buf: &mut Vec<u8>) {
+        (self.kernel_simd, 0u64, self.cells_touched, 0u64).put(buf);
+    }
+
+    fn read(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let kernel_simd = Codec::read(r)?;
+        read_retired(r, 0u64, "grid counter")?;
+        let cells_touched = Codec::read(r)?;
+        read_retired(r, 0u64, "grid counter")?;
+        Ok(GridStats {
+            kernel_simd,
+            cells_touched,
+        })
+    }
+}
 codec_struct! { RangeObservation { anchor, range, weight } }
 codec_struct! { EkfSnapshot {
     x, y, p11, p12, p22, updates_applied, updates_gated, consecutive_gated,
@@ -371,14 +421,13 @@ impl Codec for EstimatorCheckpoint {
         match &self.backend {
             BackendCheckpoint::Bayes {
                 posterior_cells,
-                adaptive_tiles,
                 grid_stats,
                 beacons_applied,
                 beacons_seen,
             } => {
                 posterior_cells.put(buf);
                 (*beacons_applied, *beacons_seen).put(buf);
-                adaptive_tiles.put(buf);
+                put_usize(buf, 0); // the retired tile list
                 grid_stats.put(buf);
             }
             BackendCheckpoint::Lateration { ranges } => ranges.put(buf),
@@ -393,13 +442,16 @@ impl Codec for EstimatorCheckpoint {
     fn read(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         let (algorithm, last_fix, in_window, stats): (RfAlgorithm, _, _, _) = Codec::read(r)?;
         let backend = match algorithm {
-            RfAlgorithm::Bayes => BackendCheckpoint::Bayes {
-                posterior_cells: Codec::read(r)?,
-                beacons_applied: Codec::read(r)?,
-                beacons_seen: Codec::read(r)?,
-                adaptive_tiles: Codec::read(r)?,
-                grid_stats: Codec::read(r)?,
-            },
+            RfAlgorithm::Bayes => {
+                let (posterior_cells, beacons_applied, beacons_seen) = Codec::read(r)?;
+                read_retired(r, 0usize, "tile list")?;
+                BackendCheckpoint::Bayes {
+                    posterior_cells,
+                    beacons_applied,
+                    beacons_seen,
+                    grid_stats: Codec::read(r)?,
+                }
+            }
             RfAlgorithm::Multilateration => BackendCheckpoint::Lateration {
                 ranges: Codec::read(r)?,
             },
@@ -500,7 +552,7 @@ impl RobotRecord {
             radio: Radio::from_checkpoint(self.radio),
             rf: self
                 .rf
-                .map(|c| WindowedRfEstimator::from_checkpoint_with(grid, scenario.grid_pipeline, c))
+                .map(|c| WindowedRfEstimator::from_checkpoint(grid, c))
                 .transpose()
                 .map_err(|e| malformed(format!("robot {index} estimator: {e}")))?,
             mesh,
@@ -1215,19 +1267,11 @@ mod tests {
     fn arb_backend() -> impl Strategy<Value = BackendCheckpoint> {
         let bayes = (
             proptest::collection::vec(0.0f64..1.0, 0..64),
-            proptest::collection::vec(
-                prop_oneof![
-                    (0.0f64..1.0).prop_map(Tile::Coarse),
-                    proptest::collection::vec(0.0f64..1.0, 1..8).prop_map(Tile::Refined),
-                ],
-                0..6,
-            ),
             any::<u8>(),
             any::<u8>(),
         )
-            .prop_map(|(cells, tiles, applied, seen)| BackendCheckpoint::Bayes {
+            .prop_map(|(cells, applied, seen)| BackendCheckpoint::Bayes {
                 posterior_cells: cells,
-                adaptive_tiles: tiles,
                 grid_stats: GridStats::default(),
                 beacons_applied: u32::from(applied),
                 beacons_seen: u32::from(seen),
@@ -1404,17 +1448,6 @@ mod tests {
                 tweak(|b| b.entropy_watchdog_frac(0.5)),
             ),
             ("outlier_gate_m", tweak(|b| b.outlier_gate_m(75.0))),
-            (
-                "grid_pipeline",
-                tweak(|b| {
-                    b.grid_pipeline(GridPipeline {
-                        adaptive: true,
-                        adaptive_coarse_factor: 8,
-                        ..GridPipeline::default()
-                    })
-                }),
-            ),
-            ("grid_adaptive", tweak(|b| b.grid_adaptive(true))),
         ];
         let mut seen: Vec<(&str, u64)> = vec![(
             "default",

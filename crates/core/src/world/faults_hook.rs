@@ -6,9 +6,8 @@ use cocoa_localization::grid::GridConfig;
 use cocoa_net::energy::PowerState;
 use cocoa_sim::engine::Engine;
 use cocoa_sim::faults::{Fault, GilbertElliottLink};
-use cocoa_sim::telemetry::TelemetryEvent;
+use cocoa_sim::telemetry::{TelemetryEvent, TraceLevel};
 use cocoa_sim::time::SimTime;
-use cocoa_sim::trace::TraceLevel;
 
 use crate::health::DegradationState;
 
@@ -83,7 +82,6 @@ pub(crate) fn apply_fault(
             let area = world.scenario.area;
             let res = world.scenario.grid_resolution_m;
             let alg = world.scenario.rf_algorithm;
-            let pipeline = world.scenario.grid_pipeline;
             let r = &mut world.robots[robot];
             r.alive = true;
             r.epoch = r.epoch.wrapping_add(1);
@@ -94,7 +92,7 @@ pub(crate) fn apply_fault(
             r.fix_anchor = None;
             r.synced_this_window = false;
             if let Some(rf) = r.rf.as_mut() {
-                *rf = WindowedRfEstimator::with_pipeline(GridConfig::new(area, res), alg, pipeline);
+                *rf = WindowedRfEstimator::with_algorithm(GridConfig::new(area, res), alg);
             }
             let up_state = if uses_rf {
                 PowerState::Idle

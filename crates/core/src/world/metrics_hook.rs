@@ -286,8 +286,8 @@ pub(crate) fn finalize(
             ro.outlier_beacons_rejected,
         );
         t.absorb("robustness.flat_posteriors", ro.flat_posteriors);
-        // Grid kernel accounting: only namespaces that actually fired are
-        // emitted, so a dense run carries no adaptive counters.
+        // Grid kernel accounting: emitted only when the grid ran, so a
+        // gridless run carries no `grid.*` counters.
         let mut gs = cocoa_localization::bayes::GridStats::default();
         for r in &world.robots {
             if let Some(rf) = r.rf.as_ref() {
@@ -296,9 +296,7 @@ pub(crate) fn finalize(
         }
         for (name, value) in [
             ("grid.kernel.simd", gs.kernel_simd),
-            ("grid.kernel.adaptive", gs.kernel_adaptive),
             ("grid.cells_touched", gs.cells_touched),
-            ("grid.cells_refined", gs.cells_refined),
         ] {
             if value > 0 {
                 t.absorb(name, value);
@@ -361,13 +359,6 @@ pub(crate) fn finalize(
         t.absorb("radio.wakes", wakes);
         t.absorb("radio.packets_sent", sent);
         t.absorb("radio.packets_received", received);
-        // The legacy string trace reports its ring-buffer drops here too,
-        // so a bounded trace never evicts silently.
-        if let Some(trace) = t.legacy_trace() {
-            let (emitted, dropped) = (trace.emitted(), trace.dropped());
-            t.absorb("trace.emitted", emitted);
-            t.absorb("trace.dropped", dropped);
-        }
         let (emitted, dropped) = (t.events_emitted(), t.dropped_events());
         t.absorb("telemetry.events_emitted", emitted);
         t.absorb("telemetry.events_dropped", dropped);

@@ -7,9 +7,8 @@ use cocoa_mobility::pose::{normalize_angle, Pose};
 use cocoa_net::energy::PowerState;
 use cocoa_sim::dist::uniform;
 use cocoa_sim::engine::Engine;
-use cocoa_sim::telemetry::TelemetryEvent;
+use cocoa_sim::telemetry::{TelemetryEvent, TraceLevel};
 use cocoa_sim::time::{SimDuration, SimTime};
-use cocoa_sim::trace::TraceLevel;
 
 use crate::health::DegradationState;
 use crate::robot::FixAnchor;

@@ -1,6 +1,7 @@
 //! Exit-code contracts of the `cocoa-run` and `cocoa-serve` binaries for
-//! inputs they must refuse: grid-pipeline flags that no longer exist and
-//! files written under an older snapshot schema.
+//! inputs they must refuse: grid-pipeline flags that no longer exist,
+//! durations the simulation clock cannot hold and files written under an
+//! older snapshot schema.
 
 use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
@@ -33,15 +34,36 @@ fn removed_grid_flags_are_usage_errors() {
         &["--grid-fused"][..],
         &["--grid-precision", "f32"],
         &["--grid-kernel", "simd"],
+        &["--grid-adaptive"],
     ] {
-        let out = Command::new(RUN)
-            .args(args)
-            .output()
-            .expect("run cocoa-run");
-        assert_eq!(out.status.code(), Some(2), "{args:?}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("unknown flag"), "{args:?}: {stderr}");
+        assert_usage_error(args, "unknown flag");
     }
+}
+
+#[test]
+fn hostile_durations_are_usage_errors() {
+    // Negative seconds, and durations past `u64::MAX` microseconds or
+    // past what `std::time::Duration` holds.
+    for args in [
+        &["--snapshot", "-1"][..],
+        &["--duration", "18446744073710"],
+        &["--period", "18446744073710"],
+        &["--snapshot-at", "1e300"],
+        &["--deadline", "1e300"],
+    ] {
+        assert_usage_error(args, args[0]);
+    }
+}
+
+/// `cocoa-run args` exits 2 and names `needle` on stderr.
+fn assert_usage_error(args: &[&str], needle: &str) {
+    let out = Command::new(RUN)
+        .args(args)
+        .output()
+        .expect("run cocoa-run");
+    assert_eq!(out.status.code(), Some(2), "{args:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(needle), "{args:?}: {stderr}");
 }
 
 #[test]

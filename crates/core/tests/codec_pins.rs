@@ -69,14 +69,6 @@ fn dense_bayes_at_counters_with_histograms() {
 }
 
 #[test]
-fn adaptive_grid() {
-    let mut s = small(40);
-    s.grid_pipeline.adaptive = true;
-    let bytes = capture_at(&s, counters(), 25_000_000);
-    assert_eq!(pin(&bytes), (0xFF2296B6, 21033));
-}
-
-#[test]
 fn multilateration_and_ekf() {
     let mut pins = Vec::new();
     for algorithm in [RfAlgorithm::Multilateration, RfAlgorithm::Ekf] {

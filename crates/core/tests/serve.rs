@@ -198,7 +198,7 @@ fn invalid_specs_are_rejected_with_400() {
         quiet: true,
         ..ServeConfig::default()
     });
-    for bad in [
+    let bad_specs = [
         "not json at all",
         "{\"robotz\": 5}",
         "{\"robots\": 4, \"equipped\": 9}",
@@ -206,7 +206,15 @@ fn invalid_specs_are_rejected_with_400() {
         "{\"grid_kernel\": \"simd\"}",
         "{\"grid_precision\": \"f32\"}",
         "{\"grid_fused\": true}",
-    ] {
+        "{\"grid_adaptive\": true}",
+        // Durations the microsecond clock cannot hold.
+        "{\"guard_band_s\": -1}",
+        "{\"snapshot_s\": -1}",
+        "{\"duration_s\": 18446744073710}",
+        "{\"period_s\": 18446744073710}",
+        "{\"guard_band_s\": 1e300}",
+    ];
+    for bad in bad_specs {
         let response = client::submit(&addr, bad).expect("transport ok");
         assert_eq!(response.status, 400, "spec {bad:?}");
         assert!(
@@ -215,7 +223,7 @@ fn invalid_specs_are_rejected_with_400() {
             response.body_str()
         );
     }
-    assert_eq!(counter(&server, "serve.rejected"), 6);
+    assert_eq!(counter(&server, "serve.rejected"), bad_specs.len() as u64);
     assert_eq!(counter(&server, "serve.executed"), 0);
 }
 

@@ -14,7 +14,6 @@ use cocoa_core::metrics::RunMetrics;
 use cocoa_core::runner::SimRun;
 use cocoa_core::scenario::Scenario;
 use cocoa_core::world::mesh::make_backend;
-use cocoa_localization::kernel::GridPipeline;
 use cocoa_multicast::odmrp::OdmrpConfig;
 use cocoa_multicast::protocol::MulticastProtocol;
 use cocoa_net::packet::{GroupId, NodeId};
@@ -117,41 +116,6 @@ fn resume_is_bit_identical_for_every_estimator_backend() {
 }
 
 #[test]
-fn resume_is_bit_identical_for_dense_and_adaptive_grids() {
-    let at = SimTime::ZERO + SimDuration::from_secs(DURATION_S / 2);
-    let pipelines = [
-        GridPipeline::default(),
-        GridPipeline {
-            adaptive: true,
-            ..GridPipeline::default()
-        },
-    ];
-    for pipeline in pipelines {
-        for protocol in MulticastProtocol::ALL {
-            let mut s = scenario(42, protocol, "sync-crash");
-            s.grid_pipeline = pipeline;
-            s.validate().expect("pipeline scenario must validate");
-            let (m_cold, j_cold) = uninterrupted(&s);
-            let (m_res, j_res) = interrupted_at(&s, at);
-            assert_eq!(
-                m_cold,
-                m_res,
-                "{}/{}: RunMetrics diverged after resume",
-                pipeline.variant_name(),
-                protocol.as_str()
-            );
-            assert_eq!(
-                j_cold,
-                j_res,
-                "{}/{}: telemetry JSONL diverged after resume",
-                pipeline.variant_name(),
-                protocol.as_str()
-            );
-        }
-    }
-}
-
-#[test]
 fn schema_4_snapshots_are_refused_with_a_typed_error() {
     // Schema 4 still carried the grid kernel, precision and fused-window
     // state; a current capture relabelled as v4 stands in for such a file.
@@ -207,33 +171,21 @@ fn entropy_queries_leave_no_trace_in_the_snapshot() {
     // restores its posteriors with empty memos; capturing it again at
     // once must give the same bytes.
     let at = SimTime::ZERO + SimDuration::from_secs(25);
-    let pipelines = [
-        GridPipeline::default(),
-        GridPipeline {
-            adaptive: true,
-            ..GridPipeline::default()
-        },
-    ];
-    for pipeline in pipelines {
-        let mut s = scenario(42, MulticastProtocol::Mrmm, "sync-crash");
-        s.grid_pipeline = pipeline;
-        s.validate().expect("pipeline scenario must validate");
-        let mut queried = SimRun::new(&s, Telemetry::new(TelemetryLevel::Counters));
-        queried.run_until(at);
-        let bytes = queried.capture();
-        let mut unqueried = SimRun::resume(&bytes).expect("own snapshot must restore");
-        assert!(
-            unqueried.capture() == bytes,
-            "{}: an entropy query changed the snapshot bytes",
-            pipeline.variant_name()
-        );
-        let (_, t) = queried.finish();
-        let entropy = t
-            .histograms()
-            .get("run.entropy_frac")
-            .expect("registered histogram");
-        assert!(entropy.count() > 0, "the run must have queried entropy");
-    }
+    let s = scenario(42, MulticastProtocol::Mrmm, "sync-crash");
+    let mut queried = SimRun::new(&s, Telemetry::new(TelemetryLevel::Counters));
+    queried.run_until(at);
+    let bytes = queried.capture();
+    let mut unqueried = SimRun::resume(&bytes).expect("own snapshot must restore");
+    assert!(
+        unqueried.capture() == bytes,
+        "an entropy query changed the snapshot bytes"
+    );
+    let (_, t) = queried.finish();
+    let entropy = t
+        .histograms()
+        .get("run.entropy_frac")
+        .expect("registered histogram");
+    assert!(entropy.count() > 0, "the run must have queried entropy");
 }
 
 #[test]
@@ -559,19 +511,26 @@ fn hostile_length_prefixes_are_rejected_before_allocating() {
     }
 }
 
+/// The payload of section `tag` in the capture `bytes`.
+fn section(bytes: &[u8], tag: &str) -> Vec<u8> {
+    let snap = Snapshot::parse(bytes).expect("own capture parses");
+    let section = snap.sections().iter().find(|s| s.tag == tag);
+    section
+        .expect("capture holds every section")
+        .payload
+        .clone()
+}
+
 /// The scenario section of a time-zero capture of `s`.
 fn scenario_section(s: &Scenario) -> Vec<u8> {
-    let bytes = SimRun::new(s, Telemetry::off()).capture();
-    let snap = Snapshot::parse(&bytes).expect("own capture parses");
-    let section = snap.sections().iter().find(|s| s.tag == "scenario");
-    section.expect("capture holds a scenario").payload.clone()
+    section(&SimRun::new(s, Telemetry::off()).capture(), "scenario")
 }
 
 #[test]
 fn posteriors_that_do_not_fit_the_scenario_are_rejected() {
-    // `pristine()` holds 2 m dense posteriors (100 × 100 cells). Each
-    // spliced scenario below asked the estimator restore for another
-    // posterior shape, and the restore panicked on the cell or tile count.
+    // `pristine()` holds 2 m posteriors (100 × 100 cells). A spliced
+    // 4 m scenario asks the estimator restore for another posterior
+    // shape.
     let base = scenario(7, MulticastProtocol::Odmrp, "chaos");
     // In range: 2.01 m cells still tile the area 100 × 100, so the
     // posteriors fit and the run restores and finishes.
@@ -587,8 +546,38 @@ fn posteriors_that_do_not_fit_the_scenario_are_rejected() {
     let spliced = splice("scenario", scenario_section(&coarse));
     assert_malformed(SimRun::resume(&spliced), "4 m grid");
 
-    let mut adaptive = base.clone();
-    adaptive.grid_pipeline.adaptive = true;
-    let spliced = splice("scenario", scenario_section(&adaptive));
-    assert_malformed(SimRun::resume(&spliced), "adaptive pipeline");
+    // The retired schema-5 slots hold one value each; any other is
+    // malformed. The grid-pipeline triple `(false, 4, 2.0)` closes the
+    // scenario section: set its flag.
+    let mut scenario = scenario_section(&base);
+    let flag = scenario.len() - 13;
+    let triple = [&[0u8][..], &4u32.to_le_bytes(), &2.0f64.to_le_bytes()].concat();
+    assert_eq!(scenario[flag..], triple[..]);
+    scenario[flag] = 1;
+    assert_malformed(
+        SimRun::resume(&splice("scenario", scenario)),
+        "retired pipeline flag",
+    );
+
+    // A Bayes payload is the cell count (10⁴), the cells, the two `u32`
+    // beacon counters, then the tile count, `kernel_simd`, a retired
+    // counter, `cells_touched` (= 10⁴ × `kernel_simd`) and another
+    // retired counter, each a `u64`.
+    let robots = section(pristine(), "robots");
+    let word = |at: usize| u64::from_le_bytes(robots[at..at + 8].try_into().expect("8 bytes"));
+    let cells = (0..robots.len() - 8)
+        .find(|&p| word(p) == 10_000)
+        .expect("pristine holds a posterior");
+    let tiles = cells + 8 + 10_000 * 8 + 8;
+    assert_eq!(
+        [word(tiles), word(tiles + 16), word(tiles + 32)],
+        [0; 3],
+        "retired slots"
+    );
+    assert_eq!(word(tiles + 24), 10_000 * word(tiles + 8), "cells touched");
+    for (slot, what) in [(tiles, "tile count"), (tiles + 16, "retired grid counter")] {
+        let mut hostile = robots.clone();
+        hostile[slot] = 1;
+        assert_malformed(SimRun::resume(&splice("robots", hostile)), what);
+    }
 }

@@ -414,17 +414,21 @@ fn golden_default_metrics_survive_the_world_refactor() {
 
 #[test]
 fn legacy_trace_rides_the_bus_unchanged() {
-    // `run_traced` must keep producing the same string records whether or
-    // not it is re-routed through the telemetry bus internally.
-    use cocoa_sim::trace::{Trace, TraceLevel};
+    // The coordinator's string records travel the bus as `Legacy` events
+    // and must come out the same on every run of the same seed.
     let s = faulty_scenario(13);
-    let trace_a = run_traced(&s, Trace::new(TraceLevel::Debug)).1;
-    let trace_b = run_traced(&s, Trace::new(TraceLevel::Debug)).1;
-    let lines = |tr: &Trace| -> Vec<String> {
-        tr.records()
-            .map(|r| format!("{} {} {}", r.time, r.subsystem, r.message))
+    let lines = || -> Vec<String> {
+        let (_, t) = run_with_telemetry(&s, Telemetry::new(TelemetryLevel::Full));
+        t.events()
+            .filter_map(|e| match &e.event {
+                TelemetryEvent::Legacy {
+                    subsystem, message, ..
+                } => Some(format!("{} {subsystem} {message}", e.t_us)),
+                _ => None,
+            })
             .collect()
     };
-    assert!(trace_a.emitted() > 0, "debug trace captures records");
-    assert_eq!(lines(&trace_a), lines(&trace_b));
+    let first = lines();
+    assert!(!first.is_empty(), "the full bus captures legacy records");
+    assert_eq!(first, lines());
 }

@@ -24,14 +24,10 @@ use cocoa_net::calibration::{PdfTable, RadialConstraintTable};
 use cocoa_net::geometry::Point;
 use cocoa_net::rssi::Dbm;
 
-use crate::adaptive::Tile;
-use crate::bayes::{
-    BayesianLocalizer, GridStats, ObservationResult, Posterior, MIN_BEACONS_FOR_ESTIMATE,
-};
+use crate::bayes::{BayesianLocalizer, GridStats, ObservationResult, MIN_BEACONS_FOR_ESTIMATE};
 use crate::ekf::{EkfConfig, EkfLocalizer, EkfSnapshot, EkfUpdate};
 use crate::estimator::RfAlgorithm;
 use crate::grid::{DistanceField, GridConfig};
-use crate::kernel::GridPipeline;
 use crate::multilateration::{Multilaterator, RangeObservation};
 
 /// One per-window RF solver, as driven by the window lifecycle in
@@ -117,15 +113,10 @@ pub trait RfBackend {
         None
     }
 
-    /// Kernel/fusion/adaptive accounting (the `grid.*` telemetry
-    /// counters). Zero for gridless backends.
+    /// Kernel accounting (the `grid.*` telemetry counters). Zero for
+    /// gridless backends.
     fn grid_stats(&self) -> GridStats {
         GridStats::default()
-    }
-
-    /// The active grid pipeline, if the backend runs one.
-    fn pipeline(&self) -> Option<&GridPipeline> {
-        None
     }
 
     /// The backend's complete state as checkpoint data.
@@ -136,14 +127,11 @@ pub trait RfBackend {
 /// (the snapshot codec's estimator section mirrors this shape).
 #[derive(Debug, Clone, PartialEq)]
 pub enum BackendCheckpoint {
-    /// [`BayesianLocalizer`] state. Dense pipelines fill
-    /// `posterior_cells`; the adaptive pipeline fills `adaptive_tiles`.
+    /// [`BayesianLocalizer`] state.
     Bayes {
-        /// Posterior cell probabilities (dense pipelines; empty otherwise).
+        /// Posterior cell probabilities.
         posterior_cells: Vec<f64>,
-        /// Posterior tile state (adaptive pipeline; empty otherwise).
-        adaptive_tiles: Vec<Tile>,
-        /// Kernel/adaptive accounting.
+        /// Kernel accounting.
         grid_stats: GridStats,
         /// Beacons applied since the last window reset.
         beacons_applied: u32,
@@ -231,18 +219,9 @@ impl RfBackend for BayesianLocalizer {
         *BayesianLocalizer::grid_stats(self)
     }
 
-    fn pipeline(&self) -> Option<&GridPipeline> {
-        Some(BayesianLocalizer::pipeline(self))
-    }
-
     fn checkpoint(&self) -> BackendCheckpoint {
-        let (cells, tiles) = match self.posterior() {
-            Posterior::Dense(g) => (g.cells().collect(), Vec::new()),
-            Posterior::Adaptive(g) => (Vec::new(), g.tiles().to_vec()),
-        };
         BackendCheckpoint::Bayes {
-            posterior_cells: cells,
-            adaptive_tiles: tiles,
+            posterior_cells: self.grid().cells().collect(),
             grid_stats: *BayesianLocalizer::grid_stats(self),
             beacons_applied: self.beacons_applied(),
             beacons_seen: self.beacons_seen(),

@@ -15,9 +15,7 @@ use cocoa_net::calibration::{PdfTable, RadialConstraintTable};
 use cocoa_net::geometry::Point;
 use cocoa_net::rssi::Dbm;
 
-use crate::adaptive::{AdaptiveGrid, Tile};
 use crate::grid::{ConstraintOutcome, DistanceField, GridConfig, PositionGrid};
-use crate::kernel::GridPipeline;
 
 /// The paper requires at least this many beacons before estimating.
 pub const MIN_BEACONS_FOR_ESTIMATE: u32 = 3;
@@ -87,8 +85,7 @@ pub enum ObservationResult {
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BayesianLocalizer {
-    posterior: Posterior,
-    pipeline: GridPipeline,
+    posterior: PositionGrid,
     beacons_applied: u32,
     beacons_seen: u32,
     stats: GridStats,
@@ -111,17 +108,6 @@ impl PartialEq for EntropyMemo {
     }
 }
 
-/// The posterior representation behind the localizer: the dense grid, or
-/// the coarse-to-fine [`AdaptiveGrid`] when the pipeline's `adaptive` knob
-/// is set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Posterior {
-    /// Dense fine-lattice posterior.
-    Dense(PositionGrid),
-    /// Coarse-to-fine tiled posterior.
-    Adaptive(AdaptiveGrid),
-}
-
 /// Cumulative grid-update cost accounting, surfaced as `grid.*` telemetry
 /// counters. Counts are per constraint application (not per window) and
 /// survive window resets — they describe work done, not posterior state.
@@ -129,13 +115,8 @@ pub enum Posterior {
 pub struct GridStats {
     /// Radial constraints applied through the lane-packed f64 kernel.
     pub kernel_simd: u64,
-    /// Radial constraints applied on the adaptive grid.
-    pub kernel_adaptive: u64,
-    /// Cells whose constraint weight was evaluated, across all kernels
-    /// (the adaptive mode's headline saving).
+    /// Cells whose constraint weight was evaluated.
     pub cells_touched: u64,
-    /// Fine cells materialized by adaptive refinement.
-    pub cells_refined: u64,
 }
 
 impl GridStats {
@@ -143,33 +124,15 @@ impl GridStats {
     /// per-robot stats into run-level counters).
     pub fn absorb(&mut self, other: &GridStats) {
         self.kernel_simd += other.kernel_simd;
-        self.kernel_adaptive += other.kernel_adaptive;
         self.cells_touched += other.cells_touched;
-        self.cells_refined += other.cells_refined;
     }
 }
 
 impl BayesianLocalizer {
-    /// Creates a localizer with a uniform prior over the area and the
-    /// default (dense) grid pipeline.
+    /// Creates a localizer with a uniform prior over the area.
     pub fn new(config: GridConfig) -> Self {
-        Self::with_pipeline(config, GridPipeline::default())
-    }
-
-    /// Creates a localizer with an explicit grid pipeline.
-    pub fn with_pipeline(config: GridConfig, pipeline: GridPipeline) -> Self {
-        let posterior = if pipeline.adaptive {
-            Posterior::Adaptive(AdaptiveGrid::new(
-                config,
-                pipeline.adaptive_coarse_factor,
-                pipeline.adaptive_refine_factor,
-            ))
-        } else {
-            Posterior::Dense(PositionGrid::new(config))
-        };
         BayesianLocalizer {
-            posterior,
-            pipeline,
+            posterior: PositionGrid::new(config),
             beacons_applied: 0,
             beacons_seen: 0,
             stats: GridStats::default(),
@@ -177,48 +140,23 @@ impl BayesianLocalizer {
         }
     }
 
-    /// The active grid pipeline.
-    pub fn pipeline(&self) -> &GridPipeline {
-        &self.pipeline
-    }
-
     /// Cumulative kernel cost accounting.
     pub fn grid_stats(&self) -> &GridStats {
         &self.stats
     }
 
-    /// The posterior representation.
-    pub fn posterior(&self) -> &Posterior {
-        &self.posterior
-    }
-
     /// The one way to mutate the posterior: hands it out together with
     /// the kernel accounting and drops the entropy memo, which described
     /// the version about to change.
-    fn posterior_mut(&mut self) -> (&mut Posterior, &mut GridStats) {
+    fn posterior_mut(&mut self) -> (&mut PositionGrid, &mut GridStats) {
         self.entropy_memo.0.set(None);
         (&mut self.posterior, &mut self.stats)
     }
 
-    fn dense_mut(&mut self) -> &mut PositionGrid {
-        match self.posterior_mut().0 {
-            Posterior::Dense(g) => g,
-            Posterior::Adaptive(_) => {
-                panic!("operation requires the dense grid (adaptive pipeline active)")
-            }
-        }
-    }
-
     /// Incorporates one beacon: the sender claims to be at `beacon_pos` and
-    /// was heard at `rssi`.
-    ///
-    /// This is the generic (closure) path and requires the dense grid;
-    /// adaptive-pipeline localizers are only fed through
+    /// was heard at `rssi`. This is the generic (closure) path; the
+    /// simulation feeds beacons through
     /// [`observe_beacon_radial`](Self::observe_beacon_radial).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the adaptive pipeline is active.
     pub fn observe_beacon(
         &mut self,
         table: &PdfTable,
@@ -230,7 +168,8 @@ impl BayesianLocalizer {
             return ObservationResult::NoPdf;
         };
         let outcome = self
-            .dense_mut()
+            .posterior_mut()
+            .0
             .apply_constraint(|cell| pdf.density(cell.distance_to(beacon_pos)) + CONSTRAINT_FLOOR);
         self.record(outcome)
     }
@@ -238,7 +177,7 @@ impl BayesianLocalizer {
     /// Incorporates one beacon through the radial fast path: the constraint
     /// comes from `radial`'s pre-sampled profile for the observed RSSI
     /// (same bin-fallback rule as [`PdfTable::lookup`]) and is applied
-    /// through the fused kernel (or the adaptive grid) — no per-cell
+    /// through the fused kernel — no per-cell
     /// `exp`, no allocation.
     pub fn observe_beacon_radial(
         &mut self,
@@ -250,8 +189,8 @@ impl BayesianLocalizer {
     }
 
     /// [`observe_beacon_radial`](Self::observe_beacon_radial) reading the
-    /// dense grid's cell distances from `field` (the grid's own memo when
-    /// `None`). The adaptive grid ignores it.
+    /// grid's cell distances from `field` (the grid's own memo when
+    /// `None`).
     pub(crate) fn observe_radial(
         &mut self,
         radial: &RadialConstraintTable,
@@ -263,23 +202,12 @@ impl BayesianLocalizer {
         let Some(profile) = radial.lookup(rssi) else {
             return ObservationResult::NoPdf;
         };
-        let (posterior, stats) = self.posterior_mut();
-        let outcome = match posterior {
-            Posterior::Dense(grid) => {
-                stats.kernel_simd += 1;
-                stats.cells_touched += grid.num_cells() as u64;
-                match field {
-                    Some(field) => grid.apply_radial_constraint_with(beacon_pos, profile, field),
-                    None => grid.apply_radial_constraint(beacon_pos, profile),
-                }
-            }
-            Posterior::Adaptive(grid) => {
-                let (outcome, op) = grid.apply_radial_constraint(beacon_pos, profile);
-                stats.kernel_adaptive += 1;
-                stats.cells_touched += op.cells_touched;
-                stats.cells_refined += op.cells_refined;
-                outcome
-            }
+        let (grid, stats) = self.posterior_mut();
+        stats.kernel_simd += 1;
+        stats.cells_touched += grid.num_cells() as u64;
+        let outcome = match field {
+            Some(field) => grid.apply_radial_constraint_with(beacon_pos, profile, field),
+            None => grid.apply_radial_constraint(beacon_pos, profile),
         };
         self.record(outcome)
     }
@@ -298,10 +226,7 @@ impl BayesianLocalizer {
     /// [`MIN_BEACONS_FOR_ESTIMATE`] beacons were applied (paper Section 2.2).
     pub fn estimate(&self) -> Option<Point> {
         if self.beacons_applied >= MIN_BEACONS_FOR_ESTIMATE {
-            Some(match &self.posterior {
-                Posterior::Dense(g) => g.mean(),
-                Posterior::Adaptive(g) => g.mean(),
-            })
+            Some(self.posterior.mean())
         } else {
             None
         }
@@ -328,10 +253,7 @@ impl BayesianLocalizer {
         if let Some(h) = self.entropy_memo.0.get() {
             return h;
         }
-        let h = match &self.posterior {
-            Posterior::Dense(g) => g.entropy(),
-            Posterior::Adaptive(g) => g.entropy(),
-        };
+        let h = self.posterior.entropy();
         self.entropy_memo.0.set(Some(h));
         h
     }
@@ -339,64 +261,30 @@ impl BayesianLocalizer {
     /// The entropy of the uniform prior over this grid, nats — the ceiling
     /// the entropy watchdog measures against.
     pub fn max_entropy(&self) -> f64 {
-        match &self.posterior {
-            Posterior::Dense(g) => g.max_entropy(),
-            Posterior::Adaptive(g) => g.max_entropy(),
-        }
+        self.posterior.max_entropy()
     }
 
     /// Resets to the uniform prior — the paper's robots "throw away their
     /// currently estimated positions" at each transmit period.
     pub fn reset(&mut self) {
-        match self.posterior_mut().0 {
-            Posterior::Dense(g) => g.reset_uniform(),
-            Posterior::Adaptive(g) => g.reset_uniform(),
-        }
+        self.posterior_mut().0.reset_uniform();
         self.beacons_applied = 0;
         self.beacons_seen = 0;
     }
 
-    /// Read-only access to the dense posterior grid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the adaptive pipeline is active — match on
-    /// [`posterior`](Self::posterior) instead.
+    /// Read-only access to the posterior grid.
     pub fn grid(&self) -> &PositionGrid {
-        match &self.posterior {
-            Posterior::Dense(g) => g,
-            Posterior::Adaptive(_) => {
-                panic!("grid() requires the dense posterior (adaptive pipeline active)")
-            }
-        }
+        &self.posterior
     }
 
-    /// Restores checkpointed dense posterior cells (checkpoint plumbing).
+    /// Restores checkpointed posterior cells (checkpoint plumbing).
     ///
     /// # Errors
     ///
-    /// Returns a message if the adaptive pipeline is active or the cell
-    /// count differs; the posterior is then left untouched.
+    /// Returns a message if the cell count differs; the posterior is then
+    /// left untouched.
     pub fn restore_posterior_cells(&mut self, cells: &[f64]) -> Result<(), String> {
-        match self.posterior_mut().0 {
-            Posterior::Dense(g) => g.restore_cells(cells),
-            Posterior::Adaptive(_) => {
-                Err("dense posterior cells for an adaptive-pipeline localizer".into())
-            }
-        }
-    }
-
-    /// Restores checkpointed adaptive tile state (checkpoint plumbing).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if the adaptive pipeline is not active or the
-    /// layout differs; the posterior is then left untouched.
-    pub fn restore_posterior_tiles(&mut self, tiles: Vec<Tile>) -> Result<(), String> {
-        match self.posterior_mut().0 {
-            Posterior::Adaptive(g) => g.restore_tiles(tiles),
-            Posterior::Dense(_) => Err("adaptive tiles for a dense-pipeline localizer".into()),
-        }
+        self.posterior_mut().0.restore_cells(cells)
     }
 
     /// Restores checkpointed beacon counters and kernel accounting

@@ -26,7 +26,6 @@ use cocoa_net::rssi::Dbm;
 use crate::backend::{BackendCheckpoint, EkfBackend, RfBackend};
 use crate::bayes::{BayesianLocalizer, GridStats, ObservationResult};
 use crate::grid::{DistanceField, GridConfig};
-use crate::kernel::GridPipeline;
 use crate::multilateration::{MultilaterationConfig, Multilaterator};
 
 /// Which localization strategy a robot runs (paper Sections 4.1–4.3).
@@ -203,6 +202,13 @@ pub struct OutlierGate {
     pub tolerance_m: f64,
 }
 
+/// The retired grid-pipeline selection. The dense posterior is the only
+/// grid pipeline, so this value carries no option; it remains on the
+/// scenario and in [`WindowedRfEstimator::with_pipeline`] for callers
+/// written against the two-pipeline API.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct GridPipeline;
+
 /// The per-robot windowed RF estimator.
 ///
 /// Drives an [`RfBackend`] through the CoCoA window lifecycle:
@@ -254,18 +260,8 @@ impl WindowedRfEstimator {
 
     /// Creates an estimator with an explicit per-window algorithm.
     pub fn with_algorithm(grid: GridConfig, algorithm: RfAlgorithm) -> Self {
-        Self::with_pipeline(grid, algorithm, GridPipeline::default())
-    }
-
-    /// Creates an estimator with an explicit per-window algorithm and grid
-    /// pipeline (dense or adaptive resolution). The pipeline only affects
-    /// the Bayesian backend; the gridless backends (multilateration, EKF)
-    /// ignore it.
-    pub fn with_pipeline(grid: GridConfig, algorithm: RfAlgorithm, pipeline: GridPipeline) -> Self {
         let backend = match algorithm {
-            RfAlgorithm::Bayes => {
-                Backend::Bayes(Box::new(BayesianLocalizer::with_pipeline(grid, pipeline)))
-            }
+            RfAlgorithm::Bayes => Backend::Bayes(Box::new(BayesianLocalizer::new(grid))),
             RfAlgorithm::Multilateration => Backend::Lateration(Multilaterator::new(
                 grid.area,
                 MultilaterationConfig::default(),
@@ -278,6 +274,12 @@ impl WindowedRfEstimator {
             in_window: false,
             stats: WindowStats::default(),
         }
+    }
+
+    /// [`with_algorithm`](Self::with_algorithm); the [`GridPipeline`]
+    /// argument selects nothing.
+    pub fn with_pipeline(grid: GridConfig, algorithm: RfAlgorithm, _: GridPipeline) -> Self {
+        Self::with_algorithm(grid, algorithm)
     }
 
     /// The algorithm this estimator runs.
@@ -495,15 +497,10 @@ impl WindowedRfEstimator {
         self.backend.as_dyn().ekf_counters()
     }
 
-    /// Kernel/fusion/adaptive accounting of the Bayesian backend (the
-    /// `grid.*` telemetry counters). Zero for gridless backends.
+    /// Kernel accounting of the Bayesian backend (the `grid.*` telemetry
+    /// counters). Zero for gridless backends.
     pub fn grid_stats(&self) -> GridStats {
         self.backend.as_dyn().grid_stats()
-    }
-
-    /// The active grid pipeline, if the Bayesian backend is running.
-    pub fn pipeline(&self) -> Option<&GridPipeline> {
-        self.backend.as_dyn().pipeline()
     }
 
     /// The estimator's complete state as checkpoint data: the lifecycle
@@ -519,54 +516,24 @@ impl WindowedRfEstimator {
     }
 
     /// Rebuilds an estimator from checkpointed state over `grid` (the same
-    /// grid configuration the original was built with), under the default
-    /// grid pipeline. The gridless backends are reconstructed with the
-    /// default solver configuration, as
-    /// [`WindowedRfEstimator::with_algorithm`] uses.
+    /// grid configuration the original was built with). The gridless
+    /// backends are reconstructed with the default solver configuration,
+    /// as [`WindowedRfEstimator::with_algorithm`] uses.
     ///
     /// # Errors
     ///
-    /// As [`from_checkpoint_with`](Self::from_checkpoint_with).
+    /// Returns a message if the checkpoint's posterior cell count differs
+    /// from the grid's.
     pub fn from_checkpoint(grid: GridConfig, c: EstimatorCheckpoint) -> Result<Self, String> {
-        Self::from_checkpoint_with(grid, GridPipeline::default(), c)
-    }
-
-    /// [`from_checkpoint`](Self::from_checkpoint) under an explicit grid
-    /// pipeline — required for bit-identical resume of an adaptive run,
-    /// since the pipeline decides which posterior representation the
-    /// checkpoint fields map onto.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if the checkpoint's posterior does not fit `grid`
-    /// and `pipeline`: dense cells under the adaptive pipeline or tiles
-    /// under the dense one, or a cell or tile count that differs from the
-    /// grid's.
-    pub fn from_checkpoint_with(
-        grid: GridConfig,
-        pipeline: GridPipeline,
-        c: EstimatorCheckpoint,
-    ) -> Result<Self, String> {
         let backend = match c.backend {
             BackendCheckpoint::Bayes {
                 posterior_cells,
-                adaptive_tiles,
                 grid_stats,
                 beacons_applied,
                 beacons_seen,
             } => {
-                let mut b = BayesianLocalizer::with_pipeline(grid, pipeline);
-                if pipeline.adaptive {
-                    if !posterior_cells.is_empty() {
-                        return Err("dense posterior cells under the adaptive pipeline".into());
-                    }
-                    b.restore_posterior_tiles(adaptive_tiles)?;
-                } else {
-                    if !adaptive_tiles.is_empty() {
-                        return Err("adaptive tiles under the dense pipeline".into());
-                    }
-                    b.restore_posterior_cells(&posterior_cells)?;
-                }
+                let mut b = BayesianLocalizer::new(grid);
+                b.restore_posterior_cells(&posterior_cells)?;
                 b.restore_counters(beacons_applied, beacons_seen, grid_stats);
                 Backend::Bayes(Box::new(b))
             }
@@ -832,7 +799,6 @@ mod tests {
         // The EKF has no posterior: entropy is the no-confidence sentinel.
         assert_eq!(est.entropy(), f64::INFINITY);
         assert_eq!(est.entropy_fraction(), None);
-        assert_eq!(est.pipeline(), None);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The fused grid-update kernel and the grid pipeline configuration.
+//! The fused grid-update kernel.
 //!
 //! The Bayesian grid update is the per-robot hot path: every beacon
 //! multiplies a radial constraint into a 10⁴-cell posterior. This module
@@ -77,82 +77,11 @@
 //! [`DistanceField`]: crate::grid::DistanceField
 
 use cocoa_net::calibration::LaneTable;
-use serde::{Deserialize, Serialize};
-
-/// The grid-update pipeline selection: the dense lane-kernel grid, or
-/// adaptive resolution. Lives on the `Scenario` and is plumbed into every
-/// Bayesian estimator; [`GridPipeline::default`] is the dense grid.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct GridPipeline {
-    /// Maintain the posterior at coarse resolution and refine only tiles
-    /// holding appreciable mass (see `AdaptiveGrid`).
-    pub adaptive: bool,
-    /// Adaptive mode: fine cells per coarse-tile side (≥ 1; 4 ⇒ one tile
-    /// covers up to 16 fine cells).
-    pub adaptive_coarse_factor: u32,
-    /// Adaptive mode: a tile is refined when its mass exceeds this factor
-    /// times the uniform tile mass, and collapsed again below its inverse.
-    /// Must exceed 1.
-    pub adaptive_refine_factor: f64,
-}
-
-impl Default for GridPipeline {
-    fn default() -> Self {
-        GridPipeline {
-            adaptive: false,
-            adaptive_coarse_factor: 4,
-            adaptive_refine_factor: 2.0,
-        }
-    }
-}
-
-impl GridPipeline {
-    /// Validates cross-field invariants.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message naming the violated invariant.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.adaptive_coarse_factor == 0 {
-            return Err("adaptive coarse factor must be at least 1".into());
-        }
-        if !self.adaptive_refine_factor.is_finite() || self.adaptive_refine_factor <= 1.0 {
-            return Err(format!(
-                "adaptive refine factor {} must be finite and exceed 1",
-                self.adaptive_refine_factor
-            ));
-        }
-        Ok(())
-    }
-
-    /// Short name of the active pipeline, matching its `grid.kernel.*`
-    /// telemetry counter.
-    pub fn variant_name(&self) -> &'static str {
-        if self.adaptive {
-            "adaptive"
-        } else {
-            "simd"
-        }
-    }
-}
 
 /// 2⁵² — the magic bias for branchless f64 → index extraction: for an
 /// integer-valued `tf` in `[0, 2⁵²)`, the low mantissa bits of `tf + P52`
 /// are exactly `tf`.
 const P52: f64 = 4503599627370496.0;
-
-/// Scalar linear interpolation into a [`LaneTable`] at the pre-scaled
-/// lattice coordinate `t = d / step` — the reference expression the lane
-/// kernel reproduces, and the lookup the adaptive grid uses for scattered
-/// (non-row) evaluations. Clamping is an index `min`; the zero sentinel
-/// delta makes clamped lookups return the final sample exactly.
-#[inline]
-pub fn lerp_table(table: &LaneTable, t: f64) -> f64 {
-    let val = table.val();
-    let del = table.del();
-    let i = (t as usize).min(table.last_index());
-    val[i] + del[i] * (t - i as f64)
-}
 
 /// A grid row's offsets from a constraint centre: the per-column squared
 /// x-offsets, the row's squared y-offset and the profile's inverse step.
@@ -310,6 +239,17 @@ impl LaneSum {
 mod tests {
     use super::*;
 
+    /// Scalar linear interpolation into a [`LaneTable`] at the pre-scaled
+    /// lattice coordinate `t = d / step` — the reference expression the lane
+    /// kernel reproduces. Clamping is an index `min`; the zero sentinel
+    /// delta makes clamped lookups return the final sample exactly.
+    fn lerp_table(table: &LaneTable, t: f64) -> f64 {
+        let val = table.val();
+        let del = table.del();
+        let i = (t as usize).min(table.last_index());
+        val[i] + del[i] * (t - i as f64)
+    }
+
     #[test]
     fn lerp_table_matches_inline_interpolation() {
         let values = [1.0, 0.5, 0.25, 0.125, 0.0625];
@@ -422,21 +362,5 @@ mod tests {
             let expected = 0.125 * values[values.len() - 1];
             assert_eq!(o.to_bits(), expected.to_bits(), "cell {i}");
         }
-    }
-
-    #[test]
-    fn pipeline_validation() {
-        let ok = GridPipeline::default();
-        assert!(ok.validate().is_ok());
-        assert_eq!(ok.variant_name(), "simd");
-        let mut bad = ok;
-        bad.adaptive_coarse_factor = 0;
-        assert!(bad.validate().is_err());
-        let mut bad = ok;
-        bad.adaptive_refine_factor = 1.0;
-        assert!(bad.validate().is_err());
-        let mut ad = ok;
-        ad.adaptive = true;
-        assert_eq!(ad.variant_name(), "adaptive");
     }
 }

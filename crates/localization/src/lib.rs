@@ -22,7 +22,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod backend;
 pub mod bayes;
 pub mod ekf;
@@ -33,16 +32,15 @@ pub mod multilateration;
 
 /// Glob-import of the most commonly used types.
 pub mod prelude {
-    pub use crate::adaptive::AdaptiveGrid;
     pub use crate::backend::{BackendCheckpoint, EkfBackend, RfBackend};
     pub use crate::bayes::{
         BayesianLocalizer, GridStats, ObservationResult, MIN_BEACONS_FOR_ESTIMATE,
     };
     pub use crate::ekf::{EkfConfig, EkfLocalizer, EkfSnapshot, EkfUpdate};
     pub use crate::estimator::{
-        EstimatorMode, OutlierGate, RfAlgorithm, WindowOutcome, WindowStats, WindowedRfEstimator,
+        EstimatorMode, GridPipeline, OutlierGate, RfAlgorithm, WindowOutcome, WindowStats,
+        WindowedRfEstimator,
     };
     pub use crate::grid::{ConstraintOutcome, DistanceField, GridConfig, PositionGrid};
-    pub use crate::kernel::GridPipeline;
     pub use crate::multilateration::{MultilaterationConfig, Multilaterator, RangeObservation};
 }

@@ -2,9 +2,7 @@
 //! entropy memo, the EKF backend's covariance health, and backend
 //! checkpoint round-trips.
 
-use cocoa_localization::adaptive::AdaptiveGrid;
-use cocoa_localization::bayes::{radial_constraints_for_grid, Posterior, CONSTRAINT_FLOOR};
-use cocoa_localization::grid::ConstraintOutcome;
+use cocoa_localization::bayes::{radial_constraints_for_grid, CONSTRAINT_FLOOR};
 use cocoa_localization::prelude::*;
 use cocoa_net::calibration::{calibrate, CalibrationConfig, DistancePdf, PdfTable, RadialProfile};
 use cocoa_net::channel::RfChannel;
@@ -453,78 +451,13 @@ proptest! {
             }
         }
     }
-
-    /// The adaptive posterior conserves probability mass to 1e-9 under
-    /// arbitrary accepted constraint sequences, through refinement and
-    /// coarsening alike.
-    #[test]
-    fn adaptive_posterior_conserves_mass(
-        centers in proptest::collection::vec(arb_in_area(), 1..8),
-        means in proptest::collection::vec(5.0..80.0f64, 1..8),
-        factor in 2u32..6,
-    ) {
-        let mut grid = AdaptiveGrid::new(GridConfig::new(Area::square(200.0), 2.0), factor, 2.0);
-        for (c, m) in centers.iter().zip(means.iter().cycle()) {
-            let pdf = DistancePdf::Gaussian { mean: *m, sigma: 6.0 };
-            let profile = pdf.radial_profile(0.1, 340.0).offset(CONSTRAINT_FLOOR);
-            grid.apply_radial_constraint(*c, &profile);
-            prop_assert!(
-                (grid.total_mass() - 1.0).abs() < 1e-9,
-                "mass {} after constraint", grid.total_mass()
-            );
-        }
-    }
-
-    /// Refinement correctness: where the posterior concentrates, the
-    /// adaptive grid's mean tracks the dense grid's mean to within one
-    /// fine cell, despite touching a fraction of the cells.
-    #[test]
-    fn adaptive_mean_tracks_dense_grid(seed in 0u64..40) {
-        let area = Area::square(200.0);
-        let robot = Point::new(100.0, 100.0);
-        let beacons = [
-            Point::new(85.0, 100.0),
-            Point::new(112.0, 108.0),
-            Point::new(100.0, 86.0),
-            Point::new(90.0, 112.0),
-        ];
-        let ch = RfChannel::default();
-        let table = calibrate(
-            &ch,
-            &CalibrationConfig { samples_per_distance: 30, ..Default::default() },
-            &mut SeedSplitter::new(seed).stream("cal", 0),
-        );
-        let cfg = GridConfig::new(area, 2.0);
-        let radial = radial_constraints_for_grid(&table, &cfg);
-        let mut dense = PositionGrid::new(cfg);
-        let mut adaptive = AdaptiveGrid::new(cfg, 4, 2.0);
-        let mut rng = SeedSplitter::new(seed).stream("probe", 0);
-        let mut applied = 0u32;
-        for b in beacons {
-            let rssi = ch.sample_rssi(robot.distance_to(b), &mut rng);
-            if let Some(profile) = radial.lookup(rssi) {
-                let oa = dense.apply_radial_constraint(b, profile);
-                let (ob, _) = adaptive.apply_radial_constraint(b, profile);
-                prop_assert_eq!(oa, ob);
-                if oa == ConstraintOutcome::Applied {
-                    applied += 1;
-                }
-            }
-        }
-        if applied >= 3 {
-            prop_assert!(
-                dense.mean().distance_to(adaptive.mean()) <= cfg.resolution_m,
-                "dense {:?} vs adaptive {:?}", dense.mean(), adaptive.mean()
-            );
-        }
-    }
 }
 
 /// One step of an arbitrary localizer history for the entropy-memo test.
 #[derive(Debug, Clone, Copy)]
 enum MemoOp {
     /// A beacon at `(x, y)` heard at `rssi` dBm, through the radial path
-    /// (or the generic closure path on a dense grid when `generic`).
+    /// (or the generic closure path when `generic`).
     Beacon {
         x: f64,
         y: f64,
@@ -537,7 +470,7 @@ enum MemoOp {
     Reset,
     /// Remember the current posterior for a later `Restore`.
     Save,
-    /// Restore the remembered posterior (cells or tiles).
+    /// Restore the remembered posterior cells.
     Restore,
     /// Continue with a clone (which carries the memo along).
     Clone,
@@ -567,19 +500,11 @@ fn arb_memo_op() -> impl Strategy<Value = MemoOp> {
     ]
 }
 
-/// A fresh, unmemoized scan of the localizer's posterior.
-fn scanned_entropy(loc: &BayesianLocalizer) -> f64 {
-    match loc.posterior() {
-        Posterior::Dense(g) => g.entropy(),
-        Posterior::Adaptive(g) => g.entropy(),
-    }
-}
-
 proptest! {
     /// The memoized entropy is the entropy of the current posterior,
     /// bit for bit, under any interleaving of beacons, resets, restores,
-    /// clones and queries — on the dense and the adaptive posterior. The
-    /// memo is not state: a queried localizer equals its unqueried clone.
+    /// clones and queries. The memo is not state: a queried localizer
+    /// equals its unqueried clone.
     #[test]
     fn entropy_memo_tracks_every_posterior_mutation(
         ops in proptest::collection::vec(arb_memo_op(), 1..40),
@@ -593,51 +518,40 @@ proptest! {
         );
         let grid = GridConfig::new(Area::square(200.0), 4.0);
         let radial = radial_constraints_for_grid(&table, &grid);
-        for adaptive in [false, true] {
-            let pipeline = GridPipeline { adaptive, ..GridPipeline::default() };
-            // `eager` is checked after every step; `lazy` only when the
-            // schedule queries it, so its memo may outlive several steps.
-            let mut eager = BayesianLocalizer::with_pipeline(grid, pipeline);
-            let mut lazy = eager.clone();
-            let mut saved = eager.posterior().clone();
-            for op in &ops {
-                for loc in [&mut eager, &mut lazy] {
-                    match *op {
-                        MemoOp::Beacon { x, y, rssi, generic } => {
-                            let (b, rssi) = (Point::new(x, y), Dbm::new(rssi));
-                            if generic && !adaptive {
-                                loc.observe_beacon(&table, b, rssi);
-                            } else {
-                                loc.observe_beacon_radial(&radial, b, rssi);
-                            }
+        // `eager` is checked after every step; `lazy` only when the
+        // schedule queries it, so its memo may outlive several steps.
+        let mut eager = BayesianLocalizer::new(grid);
+        let mut lazy = eager.clone();
+        let mut saved: Vec<f64> = eager.grid().cells().collect();
+        for op in &ops {
+            for loc in [&mut eager, &mut lazy] {
+                match *op {
+                    MemoOp::Beacon { x, y, rssi, generic } => {
+                        let (b, rssi) = (Point::new(x, y), Dbm::new(rssi));
+                        if generic {
+                            loc.observe_beacon(&table, b, rssi);
+                        } else {
+                            loc.observe_beacon_radial(&radial, b, rssi);
                         }
-                        MemoOp::Query => {
-                            let h = loc.entropy();
-                            prop_assert_eq!(h.to_bits(), scanned_entropy(loc).to_bits());
-                        }
-                        MemoOp::Reset => loc.reset(),
-                        MemoOp::Save => saved = loc.posterior().clone(),
-                        MemoOp::Restore => match &saved {
-                            Posterior::Dense(g) => {
-                                let cells: Vec<f64> = g.cells().collect();
-                                loc.restore_posterior_cells(&cells).expect("same grid");
-                            }
-                            Posterior::Adaptive(g) => {
-                                loc.restore_posterior_tiles(g.tiles().to_vec()).expect("same grid");
-                            }
-                        },
-                        MemoOp::Clone => *loc = loc.clone(),
                     }
+                    MemoOp::Query => {
+                        let h = loc.entropy();
+                        prop_assert_eq!(h.to_bits(), loc.grid().entropy().to_bits());
+                    }
+                    MemoOp::Reset => loc.reset(),
+                    MemoOp::Save => saved = loc.grid().cells().collect(),
+                    MemoOp::Restore => loc.restore_posterior_cells(&saved).expect("same grid"),
+                    MemoOp::Clone => *loc = loc.clone(),
                 }
-                let unqueried = eager.clone();
-                prop_assert_eq!(
-                    eager.entropy().to_bits(),
-                    scanned_entropy(&eager).to_bits(),
-                    "stale memo after {:?} (adaptive: {})", op, adaptive
-                );
-                prop_assert_eq!(&eager, &unqueried);
-                prop_assert_eq!(&eager, &lazy);
             }
+            let unqueried = eager.clone();
+            prop_assert_eq!(
+                eager.entropy().to_bits(),
+                eager.grid().entropy().to_bits(),
+                "stale memo after {:?}", op
+            );
+            prop_assert_eq!(&eager, &unqueried);
+            prop_assert_eq!(&eager, &lazy);
         }
     }
 }

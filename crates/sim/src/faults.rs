@@ -199,7 +199,12 @@ impl FaultPlan {
     /// Robot indices are clamped into the team, so presets stay valid at
     /// any scale. Returns `None` for unknown names.
     pub fn preset(name: &str, duration: SimDuration, num_robots: usize) -> Option<FaultPlan> {
-        let t = |frac_num: u64, frac_den: u64| SimTime::ZERO + (duration * frac_num) / frac_den;
+        // `duration · num / den` in 128 bits: the product may not fit a
+        // `u64` for a long run, the quotient (≤ `duration`) always does.
+        let t = |num: u64, den: u64| {
+            let us = u128::from(duration.as_micros()) * u128::from(num) / u128::from(den);
+            SimTime::from_micros(us as u64)
+        };
         let robot = |i: usize| i.min(num_robots.saturating_sub(1));
         let mut plan = FaultPlan::new();
         match name {

@@ -55,7 +55,6 @@ use std::time::Instant;
 
 use crate::jsonfmt::{escape_json, write_opt_f64};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{Trace, TraceLevel};
 
 pub mod export;
 pub mod hist;
@@ -106,6 +105,27 @@ impl TelemetryLevel {
 impl std::fmt::Display for TelemetryLevel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
+    }
+}
+
+/// Severity of a [`TelemetryEvent::Legacy`] record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum TraceLevel {
+    /// High-volume per-event detail (packet receptions, grid updates).
+    Debug,
+    /// Normal protocol milestones (window starts, sync delivery).
+    Info,
+    /// Anomalies worth surfacing (dropped sync, empty beacon window).
+    Warn,
+}
+
+impl std::fmt::Display for TraceLevel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            TraceLevel::Debug => "DEBUG",
+            TraceLevel::Info => "INFO",
+            TraceLevel::Warn => "WARN",
+        })
     }
 }
 
@@ -280,7 +300,7 @@ pub enum TelemetryEvent {
         /// Size of the snapshot the run was restored from.
         bytes: u64,
     },
-    /// A record routed through from the legacy string [`Trace`].
+    /// A free-form string record (see [`Telemetry::legacy`]).
     Legacy {
         /// Severity.
         level: TraceLevel,
@@ -592,7 +612,6 @@ pub struct Telemetry {
     hists: HistogramRegistry,
     hist_enabled: bool,
     span_dur_hist: HistId,
-    legacy: Option<Trace>,
     sample_interval: Option<SimDuration>,
 }
 
@@ -614,7 +633,6 @@ impl Telemetry {
             hists,
             hist_enabled: true,
             span_dur_hist,
-            legacy: None,
             sample_interval: None,
         }
     }
@@ -651,8 +669,7 @@ impl Telemetry {
     /// Span timers (and wall-clock histograms such as `span.duration_us`)
     /// restart at zero — span durations are wall-clock, the one
     /// non-deterministic quantity the bus records, and are excluded from
-    /// snapshots by design. Any legacy [`Trace`] attachment is likewise not
-    /// part of a checkpoint; reattach one after restoring if needed.
+    /// snapshots by design.
     pub fn from_checkpoint(c: TelemetryCheckpoint) -> Self {
         let mut t = Telemetry::new(c.level);
         t.capacity = c.capacity;
@@ -678,22 +695,6 @@ impl Telemetry {
     /// The configured timeline sampling interval, if any.
     pub fn sample_interval(&self) -> Option<SimDuration> {
         self.sample_interval
-    }
-
-    /// Attaches a legacy string [`Trace`] that
-    /// [`Telemetry::legacy`] emissions are mirrored into.
-    pub fn attach_legacy(&mut self, trace: Trace) {
-        self.legacy = Some(trace);
-    }
-
-    /// Detaches and returns the legacy trace, if one was attached.
-    pub fn take_legacy(&mut self) -> Option<Trace> {
-        self.legacy.take()
-    }
-
-    /// A read-only view of the attached legacy trace.
-    pub fn legacy_trace(&self) -> Option<&Trace> {
-        self.legacy.as_ref()
     }
 
     /// Whether protocol events and timeline samples are recorded.
@@ -752,9 +753,9 @@ impl Telemetry {
         }
     }
 
-    /// Routes a legacy string record: mirrors it into the attached
-    /// [`Trace`] (if any) and, at `Full`, also records it as a
-    /// [`TelemetryEvent::Legacy`] event so nothing is lost mid-migration.
+    /// Records a free-form string record as a [`TelemetryEvent::Legacy`]
+    /// event (kept at `Full` only). The message closure is invoked only
+    /// when the event is kept.
     pub fn legacy(
         &mut self,
         now: SimTime,
@@ -762,33 +763,11 @@ impl Telemetry {
         subsystem: &'static str,
         message: impl FnOnce() -> String,
     ) {
-        match (&mut self.legacy, self.level >= TelemetryLevel::Full) {
-            (Some(trace), true) => {
-                let msg = message();
-                trace.emit(now, level, subsystem, || msg.clone());
-                self.push(
-                    now.as_micros(),
-                    TelemetryEvent::Legacy {
-                        level,
-                        subsystem,
-                        message: msg,
-                    },
-                );
-            }
-            (Some(trace), false) => trace.emit(now, level, subsystem, message),
-            (None, true) => {
-                let msg = message();
-                self.push(
-                    now.as_micros(),
-                    TelemetryEvent::Legacy {
-                        level,
-                        subsystem,
-                        message: msg,
-                    },
-                );
-            }
-            (None, false) => {}
-        }
+        self.emit_full(now, || TelemetryEvent::Legacy {
+            level,
+            subsystem,
+            message: message(),
+        });
     }
 
     /// Registers (or looks up) a counter.
@@ -1272,30 +1251,26 @@ mod tests {
     }
 
     #[test]
-    fn legacy_routes_to_trace_and_full_event() {
+    fn legacy_records_are_full_events() {
         let mut t = Telemetry::new(TelemetryLevel::Full);
-        t.attach_legacy(Trace::new(TraceLevel::Debug));
         t.legacy(at(1), TraceLevel::Info, "sync", || "hello".into());
-        assert_eq!(t.legacy_trace().unwrap().records().count(), 1);
         assert_eq!(t.events().count(), 1);
         match &t.events().next().unwrap().event {
             TelemetryEvent::Legacy {
-                subsystem, message, ..
+                level,
+                subsystem,
+                message,
             } => {
+                assert_eq!(*level, TraceLevel::Info);
                 assert_eq!(*subsystem, "sync");
                 assert_eq!(message, "hello");
             }
             other => panic!("expected legacy event, got {other:?}"),
         }
-        // Below Full the trace still gets the record, the bus does not.
+        // Below Full the bus keeps nothing and builds no message.
         let mut t = Telemetry::new(TelemetryLevel::Timeline);
-        t.attach_legacy(Trace::new(TraceLevel::Debug));
-        t.legacy(at(1), TraceLevel::Info, "sync", || "hi".into());
-        assert_eq!(t.legacy_trace().unwrap().records().count(), 1);
+        t.legacy(at(1), TraceLevel::Info, "sync", || unreachable!());
         assert_eq!(t.events().count(), 0);
-        let trace = t.take_legacy().unwrap();
-        assert_eq!(trace.records().count(), 1);
-        assert!(t.take_legacy().is_none());
     }
 
     #[test]

@@ -153,6 +153,19 @@ impl SimDuration {
         SimDuration((s * MICROS_PER_SEC as f64).round() as u64)
     }
 
+    /// Creates a duration from seconds read off a command line or a
+    /// request, rounding to the nearest microsecond. `None` for negative,
+    /// NaN or infinite seconds and for durations past `u64::MAX`
+    /// microseconds, where [`from_secs`](Self::from_secs) would overflow
+    /// and [`from_secs_f64`](Self::from_secs_f64) would panic. Whole
+    /// seconds below 2⁵³ µs convert exactly.
+    pub fn checked_from_secs_f64(s: f64) -> Option<Self> {
+        let us = (s * MICROS_PER_SEC as f64).round();
+        // NaN fails both tests. `u64::MAX as f64` rounds up to 2⁶⁴, the
+        // first value that no longer fits.
+        (s >= 0.0 && us < u64::MAX as f64).then_some(SimDuration(us as u64))
+    }
+
     /// This duration as integer microseconds.
     pub const fn as_micros(self) -> u64 {
         self.0
@@ -287,6 +300,25 @@ mod tests {
     #[should_panic(expected = "finite non-negative")]
     fn time_rejects_negative() {
         let _ = SimTime::from_secs_f64(-1.0);
+    }
+
+    #[test]
+    fn checked_seconds_refuse_what_no_duration_holds() {
+        let ok = SimDuration::checked_from_secs_f64;
+        assert_eq!(ok(1800.0), Some(SimDuration::from_secs(1800)));
+        assert_eq!(ok(0.2), Some(SimDuration::from_millis(200)));
+        assert_eq!(ok(0.0), Some(SimDuration::ZERO));
+        assert!(ok(18_446_744_073_709.0).is_some());
+        for bad in [
+            -1.0,
+            -1e-9,
+            f64::NAN,
+            f64::INFINITY,
+            18_446_744_073_710.0,
+            1e300,
+        ] {
+            assert_eq!(ok(bad), None, "{bad}");
+        }
     }
 
     #[test]

@@ -248,17 +248,26 @@ fn packet_loss_degrades_gracefully() {
 
 #[test]
 fn traced_runs_record_protocol_milestones() {
-    use cocoa_suite::sim::trace::{Trace, TraceLevel};
+    use cocoa_suite::sim::telemetry::TraceLevel;
     let s = quick(21).build();
-    let (metrics, trace) = run_traced(&s, Trace::with_capacity(TraceLevel::Debug, 50_000));
-    // One Info record per beacon period.
-    let windows: Vec<_> = trace
-        .by_subsystem("coordinator")
-        .filter(|r| r.level == TraceLevel::Info)
+    let (metrics, telemetry) = run_with_telemetry(&s, Telemetry::new(TelemetryLevel::Full));
+    let records: Vec<(TraceLevel, &str)> = telemetry
+        .events()
+        .filter_map(|e| match &e.event {
+            TelemetryEvent::Legacy {
+                level, subsystem, ..
+            } => Some((*level, *subsystem)),
+            _ => None,
+        })
         .collect();
-    assert_eq!(windows.len() as u64, s.num_windows());
+    // One Info record per beacon period.
+    let windows = records
+        .iter()
+        .filter(|&&r| r == (TraceLevel::Info, "coordinator"))
+        .count();
+    assert_eq!(windows as u64, s.num_windows());
     // One Debug fix record per fresh fix.
-    let fixes = trace.by_subsystem("localization").count() as u64;
+    let fixes = records.iter().filter(|r| r.1 == "localization").count() as u64;
     assert!(
         fixes >= metrics.traffic.fixes,
         "trace must record every fix (and any starvations): {} vs {}",
